@@ -277,7 +277,7 @@ func BenchmarkSATSolver(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := sat.New(0, sat.Options{})
+		s := sat.New(0)
 		addPigeonhole(s, 7, 6)
 		status, err := s.Solve(ctx)
 		if err != nil || status != sat.Unsat {

@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		defer cancel()
 	}
 
-	solver := sat.New(formula.NumVars, sat.Options{})
+	solver := sat.New(formula.NumVars)
 	solver.AddFormula(formula)
 	start := time.Now()
 	status, err := solver.Solve(ctx)

@@ -113,6 +113,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// withTimeout bounds ctx by Timeout when one is set. Every MaxSAT
+// analysis entry point applies it.
+func (o Options) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.Timeout > 0 {
+		return context.WithTimeout(ctx, o.Timeout)
+	}
+	return ctx, func() {}
+}
+
 // tracer returns the configured tracer or the zero-cost no-op one.
 func (o Options) tracer() obs.Tracer {
 	if o.Tracer == nil {
@@ -323,11 +332,8 @@ func (s *Solution) CutSetIDs() []string {
 // pipeline.
 func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := opts.withTimeout(ctx)
+	defer cancel()
 	start := time.Now()
 	root := opts.tracer().StartSpan("analyze")
 	defer root.End()

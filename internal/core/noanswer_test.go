@@ -148,3 +148,66 @@ func TestAnalyzeUnknownIsNoAnswer(t *testing.T) {
 		t.Fatalf("no-answer misclassified as ErrNoCutSet: %v", err)
 	}
 }
+
+// blockingSolver models an engine on a hard instance: it makes no
+// progress until its context ends.
+type blockingSolver struct{}
+
+func (blockingSolver) Name() string { return "blocking-fake" }
+
+func (blockingSolver) Solve(ctx context.Context, _ *cnf.WCNF) (maxsat.Result, error) {
+	<-ctx.Done()
+	return maxsat.Result{Status: maxsat.Unknown}, ctx.Err()
+}
+
+// Options.Timeout must bound every analysis entry point, not just
+// Analyze and AnalyzeTopK: each call returns ErrNoAnswer carrying the
+// deadline instead of running until the engine gives up on its own.
+func TestTimeoutBoundsEveryEntryPoint(t *testing.T) {
+	opts := Options{
+		Timeout: 50 * time.Millisecond,
+		Engines: []portfolio.Engine{{Name: "blocking-fake", Solver: blockingSolver{}}},
+	}
+	ctx := context.Background()
+	tree := gen.FPS()
+	analyzer, err := NewAnalyzer(tree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func() error{
+		"Analyze": func() error {
+			_, err := Analyze(ctx, tree, opts)
+			return err
+		},
+		"AnalyzeTopK": func() error {
+			_, err := AnalyzeTopK(ctx, tree, 3, opts)
+			return err
+		},
+		"AnalyzeAbove": func() error {
+			_, err := AnalyzeAbove(ctx, tree, 0.001, opts)
+			return err
+		},
+		"AnalyzeDisjoint": func() error {
+			_, err := AnalyzeDisjoint(ctx, tree, 3, opts)
+			return err
+		},
+		"Analyzer.Analyze": func() error {
+			_, err := analyzer.Analyze(ctx, nil)
+			return err
+		},
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- call() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrNoAnswer) || !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("got %v, want ErrNoAnswer wrapping context.DeadlineExceeded", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("still running 2s after a 50ms timeout")
+			}
+		})
+	}
+}

@@ -97,27 +97,53 @@ func TestAnalyzeMetrics(t *testing.T) {
 	}
 }
 
+// The enumerating entry points run Steps 1-4 once and one spanned
+// solve+decode per round under their own root span, and every round
+// counts in the metrics.
 func TestAnalyzeTopKTraced(t *testing.T) {
-	tracer := obs.NewJSONTracer()
-	sols, err := AnalyzeTopK(context.Background(), gen.FPS(), 2, Options{Tracer: tracer, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		root string
+		run  func(Options) ([]*Solution, error)
+	}{
+		{"analyze-topk", func(opts Options) ([]*Solution, error) {
+			return AnalyzeTopK(context.Background(), gen.FPS(), 2, opts)
+		}},
+		{"analyze-disjoint", func(opts Options) ([]*Solution, error) {
+			return AnalyzeDisjoint(context.Background(), gen.FPS(), 2, opts)
+		}},
 	}
-	if len(sols) != 2 {
-		t.Fatalf("got %d solutions", len(sols))
-	}
-	names := make(map[string]int)
-	collectNames(tracer.Roots(), names)
-	if names["analyze-topk"] != 1 {
-		t.Errorf("want one analyze-topk root, got %v", names)
-	}
-	if names["solve"] < 2 || names["decode"] < 2 {
-		t.Errorf("want one solve+decode per round, got %v", names)
-	}
-	for _, step := range []string{"validate", "formula", "weights", "encode"} {
-		if names[step] != 1 {
-			t.Errorf("steps 1-4 should run once, got %v", names)
-		}
+	for _, tc := range cases {
+		t.Run(tc.root, func(t *testing.T) {
+			tracer := obs.NewJSONTracer()
+			metrics := obs.NewMetrics()
+			sols, err := tc.run(Options{Tracer: tracer, Metrics: metrics, Sequential: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sols) != 2 {
+				t.Fatalf("got %d solutions", len(sols))
+			}
+			roots := tracer.Roots()
+			if len(roots) != 1 || roots[0].Name != tc.root {
+				t.Fatalf("want one %s root span, got %d roots", tc.root, len(roots))
+			}
+			names := make(map[string]int)
+			collectNames(roots, names)
+			if names["solve"] < 2 || names["decode"] < 2 {
+				t.Errorf("want one solve+decode per round, got %v", names)
+			}
+			if names["engine:wmsu1"] < 2 {
+				t.Errorf("want an engine span per round, got %v", names)
+			}
+			for _, step := range []string{"validate", "formula", "weights", "encode"} {
+				if names[step] != 1 {
+					t.Errorf("steps 1-4 should run once, got %v", names)
+				}
+			}
+			if got := metrics.Get("analyses"); got != int64(len(sols)) {
+				t.Errorf("analyses = %d, want one per round", got)
+			}
+		})
 	}
 }
 

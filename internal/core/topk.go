@@ -50,11 +50,8 @@ func AnalyzeTopKComplete(ctx context.Context, tree *ft.Tree, k int, opts Options
 			return []*Solution{solution}, solution.Status == maxsat.Optimal.String(), nil
 		}
 	}
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := opts.withTimeout(ctx)
+	defer cancel()
 	root := opts.tracer().StartSpan("analyze-topk")
 	defer root.End()
 	if root.Recording() {

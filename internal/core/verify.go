@@ -61,7 +61,11 @@ func AnalyzeDisjoint(ctx context.Context, tree *ft.Tree, k int, opts Options) ([
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	opts = opts.withDefaults()
-	steps, err := BuildSteps(tree, opts)
+	ctx, cancel := opts.withTimeout(ctx)
+	defer cancel()
+	root := opts.tracer().StartSpan("analyze-disjoint")
+	defer root.End()
+	steps, err := buildSteps(tree, opts, root)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +73,7 @@ func AnalyzeDisjoint(ctx context.Context, tree *ft.Tree, k int, opts Options) ([
 
 	var out []*Solution
 	for round := 0; round < k; round++ {
-		res, report, err := solveInstance(ctx, instance, opts)
+		res, report, err := solveSpanned(ctx, instance, opts, root)
 		if err != nil {
 			return out, err
 		}
@@ -84,10 +88,11 @@ func AnalyzeDisjoint(ctx context.Context, tree *ft.Tree, k int, opts Options) ([
 			}
 			break
 		}
-		solution, err := buildSolution(tree, steps, res, report, opts)
+		solution, err := decodeSolution(tree, steps, res, report, opts, root)
 		if err != nil {
 			return out, err
 		}
+		recordAnalysisMetrics(opts.Metrics, solution, report)
 		out = append(out, solution)
 		if res.Status == maxsat.Feasible || len(solution.MPMCS) == 0 {
 			break

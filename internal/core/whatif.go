@@ -56,6 +56,8 @@ func (a *Analyzer) Analyze(ctx context.Context, overrides map[string]float64) (*
 		}
 	}
 
+	ctx, cancel := a.opts.withTimeout(ctx)
+	defer cancel()
 	root := a.opts.tracer().StartSpan("analyze-whatif")
 	defer root.End()
 	res, report, err := solveSpanned(ctx, instance, a.opts, root)
@@ -139,6 +141,8 @@ func AnalyzeAbove(ctx context.Context, tree *ft.Tree, minProb float64, opts Opti
 		return nil, fmt.Errorf("core: minProb must be in (0,1], got %v", minProb)
 	}
 	opts = opts.withDefaults()
+	ctx, cancel := opts.withTimeout(ctx)
+	defer cancel()
 	root := opts.tracer().StartSpan("analyze-above")
 	defer root.End()
 	steps, err := buildSteps(tree, opts, root)

@@ -20,11 +20,7 @@ import (
 // improving model and tightens its budget from the global incumbent —
 // a sibling's better model shrinks this engine's search space between
 // restarts via sat.SetBudgetRefresh.
-type LinearSU struct {
-	// SatOptions configures the underlying CDCL solver (useful for
-	// portfolio diversity).
-	SatOptions sat.Options
-}
+type LinearSU struct{}
 
 var _ ProgressSolver = (*LinearSU)(nil)
 
@@ -42,7 +38,7 @@ func (l *LinearSU) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog P
 		return Result{}, fmt.Errorf("maxsat: %w", err)
 	}
 	var stats obs.SolverStats
-	s := sat.New(inst.NumVars, l.SatOptions)
+	s := sat.New(inst.NumVars)
 	satSecs := liveTelemetry(ctx, &stats, l.Name(), s)
 	for _, c := range inst.Hard {
 		if !s.AddClause(c...) {

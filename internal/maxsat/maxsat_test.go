@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpmcs4fta/internal/cnf"
-	"mpmcs4fta/internal/sat"
 )
 
 func engines() []Solver {
@@ -279,30 +278,5 @@ func TestEngineNames(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if Optimal.String() != "OPTIMAL" || Infeasible.String() != "INFEASIBLE" || Unknown.String() != "UNKNOWN" {
 		t.Error("Status.String mismatch")
-	}
-}
-
-func TestEnginesWithDiverseSatOptions(t *testing.T) {
-	// Engines built with unusual SAT options still find the optimum.
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(61))
-	inst := randomWCNF(rng, 7)
-	want := bruteForceOptimum(inst)
-	if want < 0 {
-		t.Skip("instance infeasible")
-	}
-	diverse := []Solver{
-		&LinearSU{SatOptions: sat.Options{VarDecay: 0.8, RestartBase: 20}},
-		&LinearSU{SatOptions: sat.Options{InitialPhase: true}},
-		&WMSU1{SatOptions: sat.Options{RandomSeed: 7}},
-	}
-	for _, engine := range diverse {
-		res, err := engine.Solve(ctx, inst)
-		if err != nil {
-			t.Fatalf("%s: %v", engine.Name(), err)
-		}
-		if res.Cost != want {
-			t.Errorf("%s: cost %d, want %d", engine.Name(), res.Cost, want)
-		}
 	}
 }

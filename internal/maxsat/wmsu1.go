@@ -27,8 +27,6 @@ import (
 // so the running total is a sound lower bound at every step — and the
 // feasible models it finds at intermediate strata as incumbents.
 type WMSU1 struct {
-	// SatOptions configures the underlying CDCL solver.
-	SatOptions sat.Options
 	// Stratified enables weight stratification: soft clauses are
 	// activated stratum by stratum from the heaviest weight down, so
 	// early cores concentrate on the literals that matter most — often
@@ -65,7 +63,7 @@ func (w *WMSU1) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog Prog
 	if err := inst.Validate(); err != nil {
 		return Result{}, fmt.Errorf("maxsat: %w", err)
 	}
-	s := sat.New(inst.NumVars, w.SatOptions)
+	s := sat.New(inst.NumVars)
 	for _, c := range inst.Hard {
 		if !s.AddClause(c...) {
 			return Result{Status: Infeasible}, nil

@@ -252,9 +252,9 @@ func BusFromContext(ctx context.Context) *EventBus {
 type engineNameKey struct{}
 
 // ContextWithEngineName returns a context naming the engine run it
-// feeds: the portfolio registers configuration-specific names
-// ("linear-su-rnd") the algorithms themselves do not know, and this
-// override makes live events and stats carry the registered name.
+// feeds: a portfolio member may be registered under a name its
+// algorithm does not know (a custom registration such as a test fake),
+// and this override makes live events and stats carry that name.
 // Only set it when telemetry is on: the derived context allocates.
 func ContextWithEngineName(ctx context.Context, name string) context.Context {
 	return context.WithValue(ctx, engineNameKey{}, name)

@@ -78,10 +78,10 @@ func (s *SolverStats) RecordBound(call, lower, upper int64) {
 	})
 }
 
-// TagEngine renames the run and restamps every recorded step: the
-// portfolio registers engines under configuration-specific names
-// ("linear-su-rnd") the algorithm itself does not know, so it retags
-// collected stats after the race.
+// TagEngine renames the run and restamps every recorded step: a
+// portfolio member may be registered under a name its algorithm does
+// not know (a custom registration such as a test fake), so the
+// portfolio retags collected stats after the race.
 func (s *SolverStats) TagEngine(engine string) {
 	s.engine = engine
 	for i := range s.Bounds {

@@ -41,15 +41,12 @@ type Engine struct {
 }
 
 // DefaultEngines returns the standard portfolio: the three algorithms of
-// internal/maxsat plus heuristically diversified variants of the
-// SAT-backed ones.
+// internal/maxsat, WMSU1 both plain and stratified, each under its own name.
 func DefaultEngines() []Engine {
 	return []Engine{
 		{Name: "wmsu1", Solver: &maxsat.WMSU1{}},
 		{Name: "wmsu1-strat", Solver: &maxsat.WMSU1{Stratified: true}},
 		{Name: "linear-su", Solver: &maxsat.LinearSU{}},
-		{Name: "wmsu1-pos", Solver: &maxsat.WMSU1{SatOptions: sat.Options{InitialPhase: true}}},
-		{Name: "linear-su-rnd", Solver: &maxsat.LinearSU{SatOptions: sat.Options{RandomSeed: 1, RestartBase: 50}}},
 		{Name: "branch-bound", Solver: &maxsat.BranchBound{}},
 	}
 }
@@ -225,10 +222,9 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 		rep := &report.Engines[i]
 		rep.Elapsed = out.elapsed
 		// Retag under the portfolio's registered name: standalone engines
-		// only know their algorithm name, and diversified variants
-		// ("linear-su-rnd") would otherwise collide in aggregated
-		// trajectories. Tag the outcome first so the report and a
-		// returned winner result carry identical stats.
+		// only know their algorithm name, which a custom registration (a
+		// test fake, say) need not share. Tag the outcome first so the
+		// report and a returned winner result carry identical stats.
 		out.result.Stats.TagEngine(engines[i].Name)
 		rep.Stats = out.result.Stats
 		rep.Status = out.result.Status

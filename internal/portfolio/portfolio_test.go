@@ -345,6 +345,8 @@ func TestDefaultEnginesDistinctNames(t *testing.T) {
 		seen[e.Name] = true
 		if e.Solver == nil {
 			t.Errorf("engine %s has nil solver", e.Name)
+		} else if name := e.Solver.Name(); name != e.Name {
+			t.Errorf("engine registered as %s, but its solver reports %s", e.Name, name)
 		}
 	}
 }

@@ -114,14 +114,14 @@ func checkSolverRefs(t *testing.T, s *Solver) {
 // deletion and compaction and checks every ref was remapped.
 func TestGCRemapsRefs(t *testing.T) {
 	ctx := context.Background()
-	s := New(30, Options{})
+	s := New(30)
 	pigeonhole(s, 6, 5)
 	if status, err := s.Solve(ctx); err != nil || status != Unsat {
 		t.Fatalf("php(6,5): %v, %v", status, err)
 	}
 	// Re-solve a satisfiable extension after compaction: delete every
 	// other learnt clause, sweep, compact.
-	s2 := New(25, Options{})
+	s2 := New(25)
 	pigeonhole(s2, 5, 5)
 	if status, err := s2.Solve(ctx); err != nil || status != Sat {
 		t.Fatalf("php(5,5): %v, %v", status, err)
@@ -164,7 +164,7 @@ func TestGCRemapsRefs(t *testing.T) {
 // correct with refs moving under the live trail and watch lists.
 func TestGCDuringSearch(t *testing.T) {
 	ctx := context.Background()
-	s := New(0, Options{})
+	s := New(0)
 	pigeonhole(s, 7, 6)
 	s.maxLearnts = 20 // force frequent reduceDB + GC
 	status, err := s.Solve(ctx)
@@ -199,7 +199,7 @@ func TestGCWithBudgetReasons(t *testing.T) {
 		}
 		want := bruteForceMinCost(f, lits, weights)
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		if err := s.SetBudget(lits, weights, total); err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestIncrementalSolveAcrossGC(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		numVars := 5 + rng.Intn(6)
 		f := randomCNF(rng, numVars, 2*numVars, 3)
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		if _, err := s.Solve(ctx); err != nil {
 			t.Fatal(err)

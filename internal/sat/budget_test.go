@@ -36,7 +36,7 @@ func bruteForceMinCost(f *cnf.Formula, lits []cnf.Lit, weights []int64) int64 {
 }
 
 func TestBudgetValidation(t *testing.T) {
-	s := New(2, Options{})
+	s := New(2)
 	if err := s.SetBudget([]cnf.Lit{1}, []int64{1, 2}, 5); err == nil {
 		t.Error("length mismatch accepted")
 	}
@@ -61,7 +61,7 @@ func TestBudgetValidation(t *testing.T) {
 }
 
 func TestBudgetWeightOverflowRejected(t *testing.T) {
-	s := New(2, Options{})
+	s := New(2)
 	err := s.SetBudget([]cnf.Lit{1, 2}, []int64{1 << 62, 1 << 62}, 5)
 	if err == nil {
 		t.Fatal("total weight 2^63 accepted; the budget sum wrapped int64")
@@ -72,7 +72,7 @@ func TestBudgetRefreshOnlyLowers(t *testing.T) {
 	ctx := context.Background()
 	// x1 ∨ x2, weights 5 and 3: minimum cost 3.
 	build := func(bound int64) *Solver {
-		s := New(2, Options{})
+		s := New(2)
 		s.AddClause(1, 2)
 		if err := s.SetBudget([]cnf.Lit{1, 2}, []int64{5, 3}, bound); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestBudgetSimple(t *testing.T) {
 	ctx := context.Background()
 	// x1 ∨ x2, weights 5 and 3 on the positive literals.
 	build := func(bound int64) *Solver {
-		s := New(2, Options{})
+		s := New(2)
 		s.AddClause(1, 2)
 		if err := s.SetBudget([]cnf.Lit{1, 2}, []int64{5, 3}, bound); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestBudgetAgainstBruteForce(t *testing.T) {
 			if bound < 0 {
 				continue
 			}
-			s := New(f.NumVars, Options{})
+			s := New(f.NumVars)
 			s.AddFormula(f)
 			if err := s.SetBudget(lits, weights, bound); err != nil {
 				t.Fatal(err)
@@ -231,7 +231,7 @@ func TestBudgetLinearSearch(t *testing.T) {
 		}
 		want := bruteForceMinCost(f, lits, weights)
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		if err := s.SetBudget(lits, weights, total); err != nil {
 			t.Fatal(err)

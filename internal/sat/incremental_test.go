@@ -18,7 +18,7 @@ func TestIncrementalStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 25; trial++ {
 		numVars := 5 + rng.Intn(8)
-		s := New(numVars, Options{})
+		s := New(numVars)
 		var clauses []cnf.Clause
 
 		steps := 12 + rng.Intn(15)
@@ -127,7 +127,7 @@ func TestIncrementalBudgetStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	for trial := 0; trial < 20; trial++ {
 		numVars := 4 + rng.Intn(5)
-		s := New(numVars, Options{})
+		s := New(numVars)
 		var clauses []cnf.Clause
 
 		lits := make([]cnf.Lit, numVars)

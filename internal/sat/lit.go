@@ -15,8 +15,8 @@
 // engine (internal/maxsat) perform model-improving search without
 // encoding large pseudo-Boolean constraints into clauses.
 //
-// A small DPLL solver (Dpll) is also provided; it serves as a diverse
-// portfolio member and as a test oracle for the CDCL implementation.
+// A small DPLL solver (Dpll) is also provided; it serves as a test
+// oracle for the CDCL implementation.
 package sat
 
 import "mpmcs4fta/internal/cnf"

@@ -24,7 +24,7 @@ func TestLearntClausesSoundAndAsserting(t *testing.T) {
 		numVars := 6 + rng.Intn(6)
 		f := randomCNF(rng, numVars, 3+rng.Intn(5*numVars), 3)
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		checked := 0
 		s.testOnLearnt = func(learnt []lit, btLevel int) {
@@ -81,7 +81,7 @@ func TestLearntClausesSoundAndAsserting(t *testing.T) {
 // removes literals on a conflict-rich instance (pigeonhole), i.e. the
 // machinery is exercised, not just present.
 func TestRecursiveMinimisationFires(t *testing.T) {
-	s := New(30, Options{})
+	s := New(30)
 	pigeonhole(s, 6, 5)
 	if status, err := s.Solve(context.Background()); err != nil || status != Unsat {
 		t.Fatalf("php(6,5): %v, %v", status, err)
@@ -111,7 +111,7 @@ func TestMinimisationWithBudget(t *testing.T) {
 		bound := total / 3
 		want := bruteForceMinCost(f, lits, weights)
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		if err := s.SetBudget(lits, weights, bound); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	f := randomCNF(rng, 20, 80, 3)
 
 	solveOnce := func() ([]bool, Stats, Status) {
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		status, err := s.Solve(ctx)
 		if err != nil {
@@ -37,39 +37,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSeededRandomnessDeterministic: RandomSeed makes the randomised
-// heuristic reproducible, and different seeds may explore differently
-// while agreeing on satisfiability.
-func TestSeededRandomnessDeterministic(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(167))
-	f := randomCNF(rng, 18, 70, 3)
-
-	solveSeed := func(seed int64) (Status, Stats) {
-		s := New(f.NumVars, Options{RandomSeed: seed, RandomFreq: 0.2})
-		s.AddFormula(f)
-		status, err := s.Solve(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return status, s.Stats()
-	}
-	statusA1, statsA1 := solveSeed(5)
-	statusA2, statsA2 := solveSeed(5)
-	if statusA1 != statusA2 || statsA1 != statsA2 {
-		t.Error("same seed must reproduce the run exactly")
-	}
-	statusB, _ := solveSeed(99)
-	if statusA1 != statusB {
-		t.Error("different seeds must agree on satisfiability")
-	}
-}
-
 // TestBudgetBoundZero: a zero budget forces every budgeted literal
 // false.
 func TestBudgetBoundZero(t *testing.T) {
 	ctx := context.Background()
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(1, 2, 3)
 	if err := s.SetBudget([]cnf.Lit{1, 2}, []int64{5, 5}, 0); err != nil {
 		t.Fatal(err)
@@ -88,7 +60,7 @@ func TestBudgetBoundZero(t *testing.T) {
 // budget propagator.
 func TestBudgetWithAssumptions(t *testing.T) {
 	ctx := context.Background()
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(1, 2, 3)
 	if err := s.SetBudget([]cnf.Lit{1, 2, 3}, []int64{4, 3, 2}, 4); err != nil {
 		t.Fatal(err)
@@ -115,7 +87,7 @@ func TestBudgetWithAssumptions(t *testing.T) {
 // TestStatsMonotone: counters only grow across solves on one solver.
 func TestStatsMonotone(t *testing.T) {
 	ctx := context.Background()
-	s := New(0, Options{})
+	s := New(0)
 	pigeonhole(s, 6, 5)
 	if _, err := s.Solve(ctx); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func satQuickConfig() *quick.Config {
 func TestQuickCDCLAgreesWithDPLL(t *testing.T) {
 	ctx := context.Background()
 	property := func(g genInstance) bool {
-		s := New(g.F.NumVars, Options{})
+		s := New(g.F.NumVars)
 		s.AddFormula(g.F)
 		cdclStatus, err := s.Solve(ctx)
 		if err != nil {
@@ -78,7 +78,7 @@ func TestQuickCDCLAgreesWithDPLL(t *testing.T) {
 func TestQuickSolveIsStable(t *testing.T) {
 	ctx := context.Background()
 	property := func(g genInstance) bool {
-		s := New(g.F.NumVars, Options{})
+		s := New(g.F.NumVars)
 		s.AddFormula(g.F)
 		first, err := s.Solve(ctx)
 		if err != nil {
@@ -121,7 +121,7 @@ func TestQuickAssumptionConsistency(t *testing.T) {
 				break
 			}
 		}
-		s := New(g.F.NumVars, Options{})
+		s := New(g.F.NumVars)
 		s.AddFormula(g.F)
 		status, err := s.Solve(ctx, assumps...)
 		if err != nil {
@@ -169,7 +169,7 @@ func TestQuickBudgetMonotone(t *testing.T) {
 		bound := int64(rawBound) % (total + 1)
 
 		solveAt := func(b int64) (Status, bool) {
-			s := New(g.F.NumVars, Options{})
+			s := New(g.F.NumVars)
 			s.AddFormula(g.F)
 			if err := s.SetBudget(lits, weights, b); err != nil {
 				return Unknown, false

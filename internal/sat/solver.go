@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -38,42 +37,15 @@ func (s Status) String() string {
 // through its context.
 var ErrInterrupted = errors.New("sat: interrupted")
 
-// Options tunes solver heuristics. The zero value selects defaults;
-// fields exist chiefly to diversify portfolio members.
-type Options struct {
-	// VarDecay is the VSIDS activity decay factor in (0,1); default 0.95.
-	VarDecay float64
-	// ClauseDecay is the learnt-clause activity decay; default 0.999.
-	ClauseDecay float64
-	// RestartBase is the Luby restart unit in conflicts; default 100.
-	RestartBase int
-	// InitialPhase is the default polarity for unassigned variables
-	// before phase saving kicks in (false = try false first, the
-	// MiniSat default).
-	InitialPhase bool
-	// RandomSeed, when non-zero, enables occasional random decisions
-	// (frequency RandomFreq) seeded deterministically.
-	RandomSeed int64
-	// RandomFreq is the fraction of random decisions in [0,1); default
-	// 0.02 when RandomSeed is set.
-	RandomFreq float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.VarDecay == 0 {
-		o.VarDecay = 0.95
-	}
-	if o.ClauseDecay == 0 {
-		o.ClauseDecay = 0.999
-	}
-	if o.RestartBase == 0 {
-		o.RestartBase = 100
-	}
-	if o.RandomSeed != 0 && o.RandomFreq == 0 {
-		o.RandomFreq = 0.02
-	}
-	return o
-}
+// Search heuristic constants (the MiniSat defaults).
+const (
+	// varDecay is the VSIDS activity decay factor.
+	varDecay = 0.95
+	// clauseDecay is the learnt-clause activity decay factor.
+	clauseDecay = 0.999
+	// restartBase is the Luby restart unit in conflicts.
+	restartBase = 100
+)
 
 // Stats counts solver work since construction.
 type Stats struct {
@@ -121,8 +93,6 @@ type shrinkElem struct {
 // Solver is a CDCL SAT solver. It is not safe for concurrent use; run
 // one Solver per goroutine.
 type Solver struct {
-	opts Options
-
 	numVars   int
 	ca        clauseArena // flat clause store; all clause state lives here
 	clauses   []clauseRef
@@ -136,7 +106,6 @@ type Solver struct {
 	varInc    float64
 	clauseInc float64
 	order     *varHeap
-	rng       *rand.Rand
 
 	trail    []lit
 	trailLim []int
@@ -178,16 +147,12 @@ type Solver struct {
 }
 
 // New returns a solver over variables 1..numVars (DIMACS numbering).
-func New(numVars int, opts Options) *Solver {
+func New(numVars int) *Solver {
 	s := &Solver{
-		opts:      opts.withDefaults(),
 		varInc:    1,
 		clauseInc: 1,
 	}
 	s.order = newVarHeap()
-	if s.opts.RandomSeed != 0 {
-		s.rng = rand.New(rand.NewSource(s.opts.RandomSeed))
-	}
 	s.growTo(numVars)
 	return s
 }
@@ -206,7 +171,7 @@ func (s *Solver) growTo(numVars int) {
 		s.assigns = append(s.assigns, lUndef)
 		s.level = append(s.level, 0)
 		s.reason = append(s.reason, refUndef)
-		s.polarity = append(s.polarity, s.opts.InitialPhase)
+		s.polarity = append(s.polarity, false)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, seenNone)
 		s.seen2 = append(s.seen2, 0)
@@ -750,8 +715,8 @@ func (s *Solver) bumpClause(cr clauseRef) {
 }
 
 func (s *Solver) decayActivities() {
-	s.varInc /= s.opts.VarDecay
-	s.clauseInc /= s.opts.ClauseDecay
+	s.varInc /= varDecay
+	s.clauseInc /= clauseDecay
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
@@ -1056,12 +1021,6 @@ func (s *Solver) locked(cr clauseRef) bool {
 }
 
 func (s *Solver) pickBranchLit() lit {
-	if s.rng != nil && s.rng.Float64() < s.opts.RandomFreq && !s.order.empty() {
-		v := s.order.heap[s.rng.Intn(len(s.order.heap))]
-		if s.assigns[v] == lUndef {
-			return mkLit(v, !s.polarity[v])
-		}
-	}
 	for !s.order.empty() {
 		v := s.order.removeMax()
 		if s.assigns[v] == lUndef {
@@ -1123,7 +1082,7 @@ func (s *Solver) Solve(ctx context.Context, assumptions ...cnf.Lit) (Status, err
 		// at reduceDB, which easy incremental workloads never reach.
 		s.maybeGC()
 		s.applyBudgetRefresh()
-		limit := luby(restarts+1) * int64(s.opts.RestartBase)
+		limit := luby(restarts+1) * restartBase
 		status, err := s.search(ctx, limit)
 		if err != nil {
 			return Unknown, err

@@ -40,7 +40,7 @@ func TestLitConversion(t *testing.T) {
 // when the learnt clause contained a literal from such a level.
 func TestDuplicateAssumptionsExceedNumVars(t *testing.T) {
 	ctx := context.Background()
-	s := New(5, Options{})
+	s := New(5)
 	s.AddClause(-1, -2, 3)
 	s.AddClause(-1, -2, -3)
 	status, err := s.Solve(ctx, 1, 1, 1, 1, 1, 1, 2)
@@ -65,7 +65,7 @@ func TestSolveTrivial(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("empty instance is sat", func(t *testing.T) {
-		s := New(0, Options{})
+		s := New(0)
 		status, err := s.Solve(ctx)
 		if err != nil || status != Sat {
 			t.Errorf("got %v, %v", status, err)
@@ -73,7 +73,7 @@ func TestSolveTrivial(t *testing.T) {
 	})
 
 	t.Run("unit clauses", func(t *testing.T) {
-		s := New(2, Options{})
+		s := New(2)
 		s.AddClause(1)
 		s.AddClause(-2)
 		status, err := s.Solve(ctx)
@@ -87,7 +87,7 @@ func TestSolveTrivial(t *testing.T) {
 	})
 
 	t.Run("contradictory units", func(t *testing.T) {
-		s := New(1, Options{})
+		s := New(1)
 		s.AddClause(1)
 		if ok := s.AddClause(-1); ok {
 			t.Error("adding contradiction should report false")
@@ -99,7 +99,7 @@ func TestSolveTrivial(t *testing.T) {
 	})
 
 	t.Run("empty clause", func(t *testing.T) {
-		s := New(1, Options{})
+		s := New(1)
 		if ok := s.AddClause(); ok {
 			t.Error("empty clause should report false")
 		}
@@ -110,7 +110,7 @@ func TestSolveTrivial(t *testing.T) {
 	})
 
 	t.Run("tautology ignored", func(t *testing.T) {
-		s := New(1, Options{})
+		s := New(1)
 		s.AddClause(1, -1)
 		status, _ := s.Solve(ctx)
 		if status != Sat {
@@ -119,7 +119,7 @@ func TestSolveTrivial(t *testing.T) {
 	})
 
 	t.Run("var growth", func(t *testing.T) {
-		s := New(0, Options{})
+		s := New(0)
 		s.AddClause(10)
 		if s.NumVars() != 10 {
 			t.Errorf("NumVars = %d", s.NumVars())
@@ -153,7 +153,7 @@ func pigeonhole(s interface{ AddClause(...cnf.Lit) bool }, pigeons, holes int) {
 func TestPigeonhole(t *testing.T) {
 	ctx := context.Background()
 	t.Run("php 5 into 5 sat", func(t *testing.T) {
-		s := New(25, Options{})
+		s := New(25)
 		pigeonhole(s, 5, 5)
 		status, err := s.Solve(ctx)
 		if err != nil || status != Sat {
@@ -161,7 +161,7 @@ func TestPigeonhole(t *testing.T) {
 		}
 	})
 	t.Run("php 6 into 5 unsat", func(t *testing.T) {
-		s := New(30, Options{})
+		s := New(30)
 		pigeonhole(s, 6, 5)
 		status, err := s.Solve(ctx)
 		if err != nil || status != Unsat {
@@ -214,7 +214,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		f := randomCNF(rng, numVars, 3+rng.Intn(5*numVars), 3)
 		want := bruteForceSat(f)
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		status, err := s.Solve(ctx)
 		if err != nil {
@@ -248,35 +248,9 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestSolverOptionsDiversity(t *testing.T) {
-	// Different option sets must all solve the same instance correctly.
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(37))
-	f := randomCNF(rng, 12, 40, 3)
-	want := bruteForceSat(f)
-	optionSets := []Options{
-		{},
-		{VarDecay: 0.8, RestartBase: 10},
-		{InitialPhase: true},
-		{RandomSeed: 99, RandomFreq: 0.1},
-		{ClauseDecay: 0.9},
-	}
-	for i, opts := range optionSets {
-		s := New(f.NumVars, opts)
-		s.AddFormula(f)
-		status, err := s.Solve(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (status == Sat) != want {
-			t.Errorf("option set %d: got %v, want sat=%v", i, status, want)
-		}
-	}
-}
-
 func TestIncrementalSolving(t *testing.T) {
 	ctx := context.Background()
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(1, 2)
 	status, err := s.Solve(ctx)
 	if err != nil || status != Sat {
@@ -293,7 +267,7 @@ func TestIncrementalSolving(t *testing.T) {
 
 func TestAssumptions(t *testing.T) {
 	ctx := context.Background()
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(-1, 2) // 1 → 2
 	s.AddClause(-2, 3) // 2 → 3
 
@@ -330,7 +304,7 @@ func TestAssumptions(t *testing.T) {
 
 func TestContradictoryAssumptions(t *testing.T) {
 	ctx := context.Background()
-	s := New(2, Options{})
+	s := New(2)
 	s.AddClause(1, 2)
 	status, err := s.Solve(ctx, 1, -1)
 	if err != nil || status != Unsat {
@@ -348,7 +322,7 @@ func TestContradictoryAssumptions(t *testing.T) {
 
 func TestAssumptionsSat(t *testing.T) {
 	ctx := context.Background()
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(1, 2, 3)
 	status, err := s.Solve(ctx, -1, -2)
 	if err != nil || status != Sat {
@@ -383,7 +357,7 @@ func TestAssumptionCoreRandom(t *testing.T) {
 			assumps = append(assumps, l)
 		}
 
-		s := New(f.NumVars, Options{})
+		s := New(f.NumVars)
 		s.AddFormula(f)
 		status, err := s.Solve(ctx, assumps...)
 		if err != nil {
@@ -418,7 +392,7 @@ func TestAssumptionCoreRandom(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := New(0, Options{})
+	s := New(0)
 	pigeonhole(s, 9, 8) // hard enough to pass the conflict-check interval
 	if _, err := s.Solve(ctx); err == nil {
 		t.Error("cancelled solve should return an error")
@@ -432,7 +406,7 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestStatsProgress(t *testing.T) {
-	s := New(30, Options{})
+	s := New(30)
 	pigeonhole(s, 6, 5)
 	if _, err := s.Solve(context.Background()); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 // per-call deltas instead of counters that accumulate invisibly across
 // successive incremental Solve calls.
 func TestResetStatsPerSolveSnapshot(t *testing.T) {
-	s := New(3, Options{})
+	s := New(3)
 	s.AddClause(1, 2)
 	s.AddClause(-1, 3)
 

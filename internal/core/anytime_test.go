@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"mpmcs4fta/internal/cnf"
@@ -87,5 +88,16 @@ func TestAnalyzeTopKStopsAfterFeasible(t *testing.T) {
 	}
 	if sols[0].Status != maxsat.Feasible.String() {
 		t.Errorf("status %q, want FEASIBLE", sols[0].Status)
+	}
+}
+
+// TestAnalyzeAboveAnytimeBelowThreshold: an anytime round whose cut set
+// falls below τ while its upper bound does not proves nothing about the
+// sets above τ (the exact run finds two). With nothing collected, that
+// is "no answer", never an empty "nothing reaches τ" result.
+func TestAnalyzeAboveAnytimeBelowThreshold(t *testing.T) {
+	sols, err := AnalyzeAbove(context.Background(), gen.FPS(), 0.005, Options{Sequential: true, Engines: anytimeEngines()})
+	if !errors.Is(err, ErrNoAnswer) {
+		t.Fatalf("got %d solutions, err %v; want ErrNoAnswer", len(sols), err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"mpmcs4fta/internal/bdd"
 	"mpmcs4fta/internal/fp"
 	"mpmcs4fta/internal/ft"
-	"mpmcs4fta/internal/maxsat"
 )
 
 // AnalyzeBDD computes the MPMCS with the BDD engine instead of MaxSAT:
@@ -24,70 +23,15 @@ import (
 func AnalyzeBDD(tree *ft.Tree, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	f, err := tree.Formula()
+	m, cuts, err := bddCutSets(tree)
 	if err != nil {
 		return nil, err
 	}
-	events := tree.Events()
-	m, err := bdd.NewManager(tree.DFSEventOrder())
-	if err != nil {
-		return nil, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(f)
-	if err != nil {
-		return nil, err
-	}
-	cuts, err := m.MinimalCutSets(ref)
-	if err != nil {
-		return nil, err
-	}
-	if cuts == bdd.ZEmpty {
-		return nil, ErrNoCutSet
-	}
-	probs := tree.Probabilities()
-	set, prob := m.ZBestSet(cuts, probs)
+	set, prob := m.ZBestSet(cuts, tree.Probabilities())
 	if prob <= 0 {
 		return nil, ErrZeroProbability
 	}
-
-	weights := LogWeights(events, opts.Scale)
-	weightByID := make(map[string]EventWeight, len(weights))
-	for _, w := range weights {
-		weightByID[w.ID] = w
-	}
-	var (
-		logCost float64
-		members []SolutionEvent
-	)
-	for _, id := range set {
-		w := weightByID[id]
-		members = append(members, SolutionEvent{
-			ID:          id,
-			Description: tree.Event(id).Description,
-			Prob:        w.Prob,
-			Weight:      w.Weight,
-		})
-		logCost += w.Weight
-	}
-
-	stats := tree.Stats()
-	return &Solution{
-		Tree:        tree.Name(),
-		Method:      "BDD (Rauzy minimal cut sets)",
-		MPMCS:       members,
-		Probability: prob,
-		LogCost:     logCost,
-		Solver:      "bdd",
-		Status:      maxsat.Optimal.String(),
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Stats: SolutionStats{
-			Events: stats.Events,
-			Gates:  stats.Gates,
-			Vars:   m.NumNodes(),
-		},
-		Weights: weights,
-	}, nil
+	return bddSolution(tree, m, LogWeights(tree.Events(), opts.Scale), bdd.RankedSet{Set: set, Prob: prob}, millisSince(start))
 }
 
 // AnalyzeTopKBDD returns up to k minimal cut sets ranked by descending
@@ -101,70 +45,64 @@ func AnalyzeTopKBDD(tree *ft.Tree, k int, opts Options) ([]*Solution, error) {
 	}
 	opts = opts.withDefaults()
 	start := time.Now()
-	f, err := tree.Formula()
+	m, cuts, err := bddCutSets(tree)
 	if err != nil {
 		return nil, err
 	}
-	events := tree.Events()
+	ranked := m.ZTopSets(cuts, tree.Probabilities(), k)
+	elapsed := millisSince(start)
+
+	weights := LogWeights(tree.Events(), opts.Scale)
+	out := make([]*Solution, 0, len(ranked))
+	for _, r := range ranked {
+		solution, err := bddSolution(tree, m, weights, r, elapsed)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, solution)
+	}
+	return out, nil
+}
+
+// bddCutSets builds the ROBDD of the tree's structure function over the
+// depth-first event order and extracts its minimal-cut-set family.
+func bddCutSets(tree *ft.Tree) (*bdd.Manager, bdd.ZRef, error) {
+	f, err := tree.Formula()
+	if err != nil {
+		return nil, bdd.ZEmpty, err
+	}
 	m, err := bdd.NewManager(tree.DFSEventOrder())
 	if err != nil {
-		return nil, err
+		return nil, bdd.ZEmpty, err
 	}
 	m.SetNodeLimit(bdd.DefaultNodeLimit)
 	ref, err := m.FromExpr(f)
 	if err != nil {
-		return nil, err
+		return nil, bdd.ZEmpty, err
 	}
 	cuts, err := m.MinimalCutSets(ref)
 	if err != nil {
-		return nil, err
+		return nil, bdd.ZEmpty, err
 	}
 	if cuts == bdd.ZEmpty {
-		return nil, ErrNoCutSet
+		return nil, bdd.ZEmpty, ErrNoCutSet
 	}
-	ranked := m.ZTopSets(cuts, tree.Probabilities(), k)
-	elapsed := float64(time.Since(start).Microseconds()) / 1000
+	return m, cuts, nil
+}
 
-	weights := LogWeights(events, opts.Scale)
-	weightByID := make(map[string]EventWeight, len(weights))
-	for _, w := range weights {
-		weightByID[w.ID] = w
+// bddSolution is the solution document of one BDD-ranked cut set. It
+// reports the BDD's own probability rather than the Step-6 product:
+// the differential harness uses it as the independent oracle.
+func bddSolution(tree *ft.Tree, m *bdd.Manager, weights []EventWeight, r bdd.RankedSet, elapsedMS float64) (*Solution, error) {
+	solution, err := newSolution(tree, weights, r.Set, "BDD (Rauzy minimal cut sets)")
+	if err != nil {
+		return nil, err
 	}
-	stats := tree.Stats()
-	out := make([]*Solution, 0, len(ranked))
-	for _, r := range ranked {
-		var (
-			members []SolutionEvent
-			logCost float64
-		)
-		for _, id := range r.Set {
-			w := weightByID[id]
-			members = append(members, SolutionEvent{
-				ID:          id,
-				Description: tree.Event(id).Description,
-				Prob:        w.Prob,
-				Weight:      w.Weight,
-			})
-			logCost += w.Weight
-		}
-		out = append(out, &Solution{
-			Tree:        tree.Name(),
-			Method:      "BDD (Rauzy minimal cut sets)",
-			MPMCS:       members,
-			Probability: r.Prob,
-			LogCost:     logCost,
-			Solver:      "bdd",
-			Status:      maxsat.Optimal.String(),
-			ElapsedMS:   elapsed,
-			Stats: SolutionStats{
-				Events: stats.Events,
-				Gates:  stats.Gates,
-				Vars:   m.NumNodes(),
-			},
-			Weights: weights,
-		})
-	}
-	return out, nil
+	solution.Probability = r.Prob
+	solution.Solver = "bdd"
+	solution.ElapsedMS = elapsedMS
+	solution.Stats.Vars = m.NumNodes()
+	return solution, nil
 }
 
 // mpmcsEqualProb reports whether two solutions agree on the MPMCS

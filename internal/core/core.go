@@ -210,6 +210,27 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 		return nil, fmt.Errorf("core: encode success tree: %w", err)
 	}
 
+	instance := wpmsInstance(enc, weights)
+	if sp.Recording() {
+		sp.SetInt("vars", int64(instance.NumVars))
+		sp.SetInt("hardClauses", int64(len(instance.Hard)))
+		sp.SetInt("softClauses", int64(len(instance.Soft)))
+	}
+	sp.End()
+
+	return &Steps{
+		FaultFormula:   f,
+		SuccessFormula: success,
+		Encoding:       enc,
+		Weights:        weights,
+		Instance:       instance,
+	}, nil
+}
+
+// wpmsInstance performs Step 4: the hard CNF of the encoding plus one
+// positive unit soft clause (yᵢ) per fallible event, weighted by its
+// scaled −log probability.
+func wpmsInstance(enc *cnf.Encoding, weights []EventWeight) *cnf.WCNF {
 	instance := &cnf.WCNF{NumVars: enc.Formula.NumVars}
 	for _, clause := range enc.Formula.Clauses {
 		instance.AddHard(clause...)
@@ -227,20 +248,7 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 		// Scaled == 0 (p = 1): the event fails freely at no cost; no
 		// clause is needed.
 	}
-	if sp.Recording() {
-		sp.SetInt("vars", int64(instance.NumVars))
-		sp.SetInt("hardClauses", int64(len(instance.Hard)))
-		sp.SetInt("softClauses", int64(len(instance.Soft)))
-	}
-	sp.End()
-
-	return &Steps{
-		FaultFormula:   f,
-		SuccessFormula: success,
-		Encoding:       enc,
-		Weights:        weights,
-		Instance:       instance,
-	}, nil
+	return instance
 }
 
 // LogWeights performs Step 3: wᵢ = −ln(p(xᵢ)), scaled to integers.
@@ -345,7 +353,7 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 		if err != nil {
 			return nil, err
 		}
-		solution.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		solution.ElapsedMS = millisSince(start)
 		recordDecomposedMetrics(opts.Metrics, solution, plan, time.Since(start))
 		return solution, nil
 	}
@@ -353,6 +361,14 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 	if err != nil {
 		return nil, err
 	}
+	return solveOnce(ctx, tree, steps, opts, root, start)
+}
+
+// solveOnce runs Steps 5–6 of a single-answer query on a built
+// instance: one spanned solve, then the decode of an OPTIMAL or anytime
+// FEASIBLE answer. start marks the beginning of the analysis, for
+// ElapsedMS.
+func solveOnce(ctx context.Context, tree *ft.Tree, steps *Steps, opts Options, root obs.SpanStarter, start time.Time) (*Solution, error) {
 	res, report, err := solveSpanned(ctx, steps.Instance, opts, root)
 	if err != nil {
 		return nil, err
@@ -365,13 +381,7 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 	default:
 		return nil, noAnswerErr(ctx)
 	}
-	solution, err := decodeSolution(tree, steps, res, report, opts, root)
-	if err != nil {
-		return nil, err
-	}
-	solution.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	recordAnalysisMetrics(opts.Metrics, solution, report)
-	return solution, nil
+	return decodeSolution(tree, steps, res, report, opts, root, start)
 }
 
 // solveInstance runs Step 5 on an encoded instance. It is the lowest
@@ -445,17 +455,29 @@ func solveSpanned(ctx context.Context, inst *cnf.WCNF, opts Options, parent obs.
 	return res, report, err
 }
 
-// decodeSolution wraps Step 6 in a "decode" span.
-func decodeSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report, opts Options, parent obs.SpanStarter) (*Solution, error) {
+// decodeSolution wraps Step 6 in a "decode" span, stamps the
+// solution with the time elapsed since start, and counts it in the
+// metrics.
+func decodeSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report, opts Options, parent obs.SpanStarter, start time.Time) (*Solution, error) {
 	sp := parent.StartSpan("decode")
-	defer sp.End()
 	solution, err := buildSolution(tree, steps, res, report, opts)
 	if err == nil && sp.Recording() {
 		sp.SetInt("cutSetSize", int64(len(solution.MPMCS)))
 		sp.SetFloat("probability", solution.Probability)
 		sp.SetString("solutionStatus", solution.Status)
 	}
-	return solution, err
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	solution.ElapsedMS = millisSince(start)
+	recordAnalysisMetrics(opts.Metrics, solution, report)
+	return solution, nil
+}
+
+// millisSince is the ElapsedMS reading of a timer started at start.
+func millisSince(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
 }
 
 // recordAnalysisMetrics folds one completed analysis into the
@@ -487,44 +509,60 @@ func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, report portfolio.Repor
 	}
 }
 
-// buildSolution extracts the cut set from a MaxSAT model (falsified y
-// variables = failed events), minimises it defensively, and performs
+// buildSolution extracts the cut set from a MaxSAT model and performs
 // the Step-6 reverse transformation. Feasible (anytime) results decode
 // exactly like Optimal ones — the minimisation pass guarantees the
 // reported set is a genuine minimal cut set either way — but carry the
 // optimality gap translated back to log/probability space.
 func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report, opts Options) (*Solution, error) {
-	model := res.Model
-	winner := report.Winner
-	var solverStats obs.SolverStats
+	solution, err := newSolution(tree, steps.Weights, modelCutSet(tree, steps, res.Model), maxsatMethod)
+	if err != nil {
+		return nil, err
+	}
+	solution.Solver = report.Winner
+	solution.Status = res.Status.String()
+	solution.Stats.Vars = steps.Instance.NumVars
+	solution.Stats.HardClauses = len(steps.Instance.Hard)
+	solution.Stats.SoftClauses = len(steps.Instance.Soft)
 	if win := report.WinnerReport(); win != nil {
-		solverStats = win.Stats
+		solution.Stats.Solver = win.Stats
 	}
-	failed := make(map[string]bool, len(steps.Weights))
-	for _, w := range steps.Weights {
-		y := steps.Encoding.VarOf[w.ID]
-		if y < len(model) && !model[y] {
-			failed[w.ID] = true
+	if res.Status == maxsat.Feasible {
+		if gap := res.Gap(); gap > 0 {
+			solution.OptimalityGap = float64(gap) / opts.Scale
 		}
+		// No cut set is cheaper than the proven lower bound, so none is
+		// more probable than exp(−lb/scale).
+		solution.ProbabilityUpperBound = math.Exp(-float64(res.LowerBound) / opts.Scale)
 	}
-	set := minimizeCutSet(tree, failed)
+	return solution, nil
+}
 
-	weightByID := make(map[string]EventWeight, len(steps.Weights))
-	for _, w := range steps.Weights {
+// maxsatMethod names the MaxSAT pipeline in the solution document.
+const maxsatMethod = "Weighted Partial MaxSAT"
+
+// newSolution performs the Step-6 reverse transformation of one cut
+// set: the member rows of the solution document, the log-cost Σwᵢ and
+// the probability ∏pᵢ, which must equal exp(−Σwᵢ) up to round-off.
+// Status defaults to OPTIMAL; the caller fills in the solver fields.
+func newSolution(tree *ft.Tree, weights []EventWeight, set []string, method string) (*Solution, error) {
+	weightByID := make(map[string]EventWeight, len(weights))
+	for _, w := range weights {
 		weightByID[w.ID] = w
 	}
-
 	var (
 		logCost float64
 		events  []SolutionEvent
 	)
 	probability := 1.0
 	for _, id := range set {
-		w := weightByID[id]
-		e := tree.Event(id)
+		w, ok := weightByID[id]
+		if !ok {
+			return nil, fmt.Errorf("core: cut set contains unknown event %q", id)
+		}
 		events = append(events, SolutionEvent{
 			ID:          id,
-			Description: e.Description,
+			Description: tree.Event(id).Description,
 			Prob:        w.Prob,
 			Weight:      w.Weight,
 		})
@@ -537,39 +575,30 @@ func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfo
 	if math.Abs(fromLog-probability) > 1e-9*math.Max(fromLog, probability) {
 		return nil, fmt.Errorf("core: reverse transform mismatch: exp(−Σw)=%v, ∏p=%v", fromLog, probability)
 	}
-
 	stats := tree.Stats()
-	solution := &Solution{
+	return &Solution{
 		Tree:        tree.Name(),
-		Method:      "Weighted Partial MaxSAT",
+		Method:      method,
 		MPMCS:       events,
 		Probability: probability,
 		LogCost:     logCost,
-		Solver:      winner,
-		Status:      res.Status.String(),
-		Stats: SolutionStats{
-			Events:      stats.Events,
-			Gates:       stats.Gates,
-			Vars:        steps.Instance.NumVars,
-			HardClauses: len(steps.Instance.Hard),
-			SoftClauses: len(steps.Instance.Soft),
-			Solver:      solverStats,
-		},
-		Weights: steps.Weights,
-	}
-	if res.Status == maxsat.Feasible {
-		scale := opts.Scale
-		if fp.Zero(scale) {
-			scale = DefaultScale
+		Status:      maxsat.Optimal.String(),
+		Stats:       SolutionStats{Events: stats.Events, Gates: stats.Gates},
+		Weights:     weights,
+	}, nil
+}
+
+// modelCutSet reads the failed events off a MaxSAT model (falsified y
+// variables) and minimises them to a minimal cut set.
+func modelCutSet(tree *ft.Tree, steps *Steps, model []bool) []string {
+	failed := make(map[string]bool, len(steps.Weights))
+	for _, w := range steps.Weights {
+		y := steps.Encoding.VarOf[w.ID]
+		if y < len(model) && !model[y] {
+			failed[w.ID] = true
 		}
-		if gap := res.Gap(); gap > 0 {
-			solution.OptimalityGap = float64(gap) / scale
-		}
-		// No cut set is cheaper than the proven lower bound, so none is
-		// more probable than exp(−lb/scale).
-		solution.ProbabilityUpperBound = math.Exp(-float64(res.LowerBound) / scale)
 	}
-	return solution, nil
+	return minimizeCutSet(tree, failed)
 }
 
 // minimizeCutSet greedily removes unnecessary events; for coherent

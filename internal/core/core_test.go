@@ -6,10 +6,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"mpmcs4fta/internal/boolexpr"
+	"mpmcs4fta/internal/fp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/gen"
 	"mpmcs4fta/internal/mcs"
@@ -198,10 +201,18 @@ func TestAnalyzeTopKFPS(t *testing.T) {
 	}
 }
 
+// TestAnalyzeTopKMatchesOracle checks all three enumeration modes of
+// the blocking-clause loop against the exhaustive minimal-cut-set
+// oracle: top-k enumerates exactly the oracle's sets, the threshold
+// query at the oracle's median probability returns exactly the sets at
+// or above it, and each disjoint round is the most probable oracle set
+// avoiding every event reported before it. Voting gates make the
+// oracle's sets overlap, so the disjoint mode has something to skip.
 func TestAnalyzeTopKMatchesOracle(t *testing.T) {
 	ctx := context.Background()
+	key := func(ids []string) string { return strings.Join(ids, ",") }
 	for seed := int64(1); seed < 8; seed++ {
-		tree, err := gen.Random(gen.Config{Events: 8, Seed: seed})
+		tree, err := gen.Random(gen.Config{Events: 8, Seed: seed, VotingFrac: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,17 +229,84 @@ func TestAnalyzeTopKMatchesOracle(t *testing.T) {
 		}
 		seen := make(map[string]bool, len(sols))
 		for _, sol := range sols {
-			key := ""
-			for _, id := range sol.CutSetIDs() {
-				key += id + ","
-			}
-			if seen[key] {
+			k := key(sol.CutSetIDs())
+			if seen[k] {
 				t.Fatalf("seed %d: duplicate cut set %v", seed, sol.CutSetIDs())
 			}
-			seen[key] = true
+			seen[k] = true
 			ok, err := mcs.IsMinimalCutSet(tree, sol.CutSetIDs())
 			if err != nil || !ok {
 				t.Fatalf("seed %d: %v is not minimal (%v)", seed, sol.CutSetIDs(), err)
+			}
+		}
+
+		// The oracle's sets in descending probability order.
+		probs := tree.Probabilities()
+		sort.SliceStable(all, func(i, j int) bool { return all[i].Probability(probs) > all[j].Probability(probs) })
+		oracleProb := make(map[string]float64, len(all))
+		for _, set := range all {
+			oracleProb[key(set)] = set.Probability(probs)
+		}
+
+		// Threshold mode at the oracle's median probability.
+		tau := all[len(all)/2].Probability(probs)
+		above, err := AnalyzeAbove(ctx, tree, tau, Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, p := range oracleProb {
+			if p >= tau {
+				want++
+			}
+		}
+		if len(above) != want {
+			t.Fatalf("seed %d: %d sets above τ=%v, oracle has %d", seed, len(above), tau, want)
+		}
+		for _, sol := range above {
+			p, ok := oracleProb[key(sol.CutSetIDs())]
+			if !ok || !fp.Eq(p, sol.Probability) || p < tau {
+				t.Fatalf("seed %d: threshold set %v (p=%v) is not an oracle set above τ=%v", seed, sol.CutSetIDs(), sol.Probability, tau)
+			}
+		}
+
+		// Disjoint mode: the greedy pass over the ranked oracle sets
+		// gives each round's probability.
+		var wantDisjoint []float64
+		taken := make(map[string]bool)
+		for _, set := range all {
+			free := true
+			for _, id := range set {
+				free = free && !taken[id]
+			}
+			if free {
+				wantDisjoint = append(wantDisjoint, set.Probability(probs))
+				for _, id := range set {
+					taken[id] = true
+				}
+			}
+		}
+		disjoint, err := AnalyzeDisjoint(ctx, tree, len(all), Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(disjoint) != len(wantDisjoint) {
+			t.Fatalf("seed %d: %d disjoint sets, oracle has %d", seed, len(disjoint), len(wantDisjoint))
+		}
+		used := make(map[string]bool)
+		for i, sol := range disjoint {
+			if !fp.Eq(sol.Probability, wantDisjoint[i]) {
+				t.Fatalf("seed %d: disjoint rank %d p=%v, oracle p=%v", seed, i+1, sol.Probability, wantDisjoint[i])
+			}
+			ok, err := mcs.IsMinimalCutSet(tree, sol.CutSetIDs())
+			if err != nil || !ok {
+				t.Fatalf("seed %d: disjoint set %v is not minimal (%v)", seed, sol.CutSetIDs(), err)
+			}
+			for _, id := range sol.CutSetIDs() {
+				if used[id] {
+					t.Fatalf("seed %d: event %s reused across disjoint sets", seed, id)
+				}
+				used[id] = true
 			}
 		}
 	}

@@ -82,14 +82,7 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 			return sol, fmt.Errorf("core: module %q: %w", node.ID, noAnswerErr(nodeCtx))
 		}
 
-		failed := make(map[string]bool, len(steps.Weights))
-		for _, w := range steps.Weights {
-			y := steps.Encoding.VarOf[w.ID]
-			if y < len(res.Model) && !res.Model[y] {
-				failed[w.ID] = true
-			}
-		}
-		sol.CutSet = minimizeCutSet(node.Tree, failed)
+		sol.CutSet = modelCutSet(node.Tree, steps, res.Model)
 		sol.Probability = 1
 		for _, id := range sol.CutSet {
 			sol.Probability *= node.Tree.Event(id).Prob
@@ -119,70 +112,27 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 // optimality verdict (all-modules-optimal, summed gap) is translated
 // to the same Status/gap fields the monolithic path reports.
 func composeSolution(tree *ft.Tree, plan *decomp.Plan, outcome *decomp.Outcome, opts Options) (*Solution, error) {
-	weights := LogWeights(tree.Events(), opts.Scale)
-	weightByID := make(map[string]EventWeight, len(weights))
-	for _, w := range weights {
-		weightByID[w.ID] = w
+	solution, err := newSolution(tree, LogWeights(tree.Events(), opts.Scale), outcome.CutSet, maxsatMethod)
+	if err != nil {
+		return nil, err
 	}
-
-	var (
-		logCost float64
-		events  []SolutionEvent
-	)
-	probability := 1.0
-	for _, id := range outcome.CutSet {
-		w, ok := weightByID[id]
-		if !ok {
-			return nil, fmt.Errorf("core: decomposed cut set contains unknown event %q", id)
-		}
-		e := tree.Event(id)
-		events = append(events, SolutionEvent{
-			ID:          id,
-			Description: e.Description,
-			Prob:        w.Prob,
-			Weight:      w.Weight,
-		})
-		logCost += w.Weight
-		probability *= w.Prob
-	}
-	fromLog := math.Exp(-logCost)
-	if math.Abs(fromLog-probability) > 1e-9*math.Max(fromLog, probability) {
-		return nil, fmt.Errorf("core: reverse transform mismatch: exp(−Σw)=%v, ∏p=%v", fromLog, probability)
-	}
-
-	var agg SolutionStats
-	rootSol := outcome.Solutions[plan.Root]
+	solution.Solver = outcome.Solutions[plan.Root].Winner
 	for _, id := range plan.Order {
 		sol, ok := outcome.Solutions[id]
 		if !ok {
 			continue
 		}
-		agg.Vars += sol.Vars
-		agg.HardClauses += sol.HardClauses
-		agg.SoftClauses += sol.SoftClauses
-		agg.Solver.Add(sol.Stats)
-	}
-	stats := tree.Stats()
-	agg.Events = stats.Events
-	agg.Gates = stats.Gates
-
-	solution := &Solution{
-		Tree:        tree.Name(),
-		Method:      "Weighted Partial MaxSAT",
-		MPMCS:       events,
-		Probability: probability,
-		LogCost:     logCost,
-		Solver:      rootSol.Winner,
-		Status:      maxsat.Optimal.String(),
-		Stats:       agg,
-		Weights:     weights,
+		solution.Stats.Vars += sol.Vars
+		solution.Stats.HardClauses += sol.HardClauses
+		solution.Stats.SoftClauses += sol.SoftClauses
+		solution.Stats.Solver.Add(sol.Stats)
 	}
 	if !outcome.Optimal {
 		solution.Status = maxsat.Feasible.String()
 		solution.OptimalityGap = outcome.GapLog
 		// No cut set costs less than (achieved − composed gap), so none
 		// is more probable than exp(−(LogCost − gap)).
-		solution.ProbabilityUpperBound = math.Exp(-(logCost - outcome.GapLog))
+		solution.ProbabilityUpperBound = math.Exp(-(solution.LogCost - outcome.GapLog))
 	}
 	return solution, nil
 }

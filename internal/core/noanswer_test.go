@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpmcs4fta/internal/cnf"
+	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/gen"
 	"mpmcs4fta/internal/maxsat"
 	"mpmcs4fta/internal/portfolio"
@@ -207,6 +208,42 @@ func TestTimeoutBoundsEveryEntryPoint(t *testing.T) {
 				}
 			case <-time.After(2 * time.Second):
 				t.Fatal("still running 2s after a 50ms timeout")
+			}
+		})
+	}
+}
+
+// A tree whose top event cannot occur (an AND over an impossible
+// event) has no cut set, and every MaxSAT entry point must say so with
+// ErrNoCutSet — AnalyzeAbove included, whose empty result would read as
+// "nothing above the threshold".
+func TestNoCutSetEveryEntryPoint(t *testing.T) {
+	tree := ft.New("never")
+	for _, err := range []error{
+		tree.AddEvent("a", 0),
+		tree.AddEvent("b", 0.5),
+		tree.AddAnd("top", "a", "b"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree.SetTop("top")
+	ctx := context.Background()
+	opts := Options{Sequential: true}
+	calls := []struct {
+		name string
+		run  func() error
+	}{
+		{"Analyze", func() error { _, err := Analyze(ctx, tree, opts); return err }},
+		{"AnalyzeTopK", func() error { _, err := AnalyzeTopK(ctx, tree, 3, opts); return err }},
+		{"AnalyzeAbove", func() error { _, err := AnalyzeAbove(ctx, tree, 0.001, opts); return err }},
+		{"AnalyzeDisjoint", func() error { _, err := AnalyzeDisjoint(ctx, tree, 3, opts); return err }},
+	}
+	for _, c := range calls {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.run(); !errors.Is(err, ErrNoCutSet) {
+				t.Fatalf("got %v, want ErrNoCutSet", err)
 			}
 		})
 	}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"mpmcs4fta/internal/cnf"
 	"mpmcs4fta/internal/ft"
-	"mpmcs4fta/internal/maxsat"
 	"mpmcs4fta/internal/mcs"
 )
 
@@ -60,50 +58,6 @@ func AnalyzeDisjoint(ctx context.Context, tree *ft.Tree, k int, opts Options) ([
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	opts = opts.withDefaults()
-	ctx, cancel := opts.withTimeout(ctx)
-	defer cancel()
-	root := opts.tracer().StartSpan("analyze-disjoint")
-	defer root.End()
-	steps, err := buildSteps(tree, opts, root)
-	if err != nil {
-		return nil, err
-	}
-	instance := steps.Instance.Clone()
-
-	var out []*Solution
-	for round := 0; round < k; round++ {
-		res, report, err := solveSpanned(ctx, instance, opts, root)
-		if err != nil {
-			return out, err
-		}
-		if res.Status == maxsat.Infeasible {
-			break // no cut set avoids all previous events
-		}
-		if res.Status == maxsat.Unknown {
-			// Deadline with nothing this round: keep earlier rounds, and
-			// an empty result is "no answer", not "no cut set".
-			if len(out) == 0 {
-				return nil, noAnswerErr(ctx)
-			}
-			break
-		}
-		solution, err := decodeSolution(tree, steps, res, report, opts, root)
-		if err != nil {
-			return out, err
-		}
-		recordAnalysisMetrics(opts.Metrics, solution, report)
-		out = append(out, solution)
-		if res.Status == maxsat.Feasible || len(solution.MPMCS) == 0 {
-			break
-		}
-		for _, e := range solution.MPMCS {
-			// Force the event to survive in all later rounds.
-			instance.AddHard(cnf.Lit(steps.Encoding.VarOf[e.ID]))
-		}
-	}
-	if len(out) == 0 {
-		return nil, ErrNoCutSet
-	}
-	return out, nil
+	out, _, err := enumerate(ctx, tree, ranking{span: "analyze-disjoint", k: k, disjoint: true}, opts)
+	return out, err
 }

@@ -88,6 +88,9 @@ func TestAnalyzeDisjointFPS(t *testing.T) {
 	}
 	used := make(map[string]bool)
 	for i, sol := range sols {
+		if sol.ElapsedMS <= 0 {
+			t.Errorf("rank %d: elapsedMillis %v, want > 0", i+1, sol.ElapsedMS)
+		}
 		ids := sol.CutSetIDs()
 		if len(ids) != len(wantSets[i]) {
 			t.Fatalf("rank %d: %v, want %v", i+1, ids, wantSets[i])

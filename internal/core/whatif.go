@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"mpmcs4fta/internal/cnf"
 	"mpmcs4fta/internal/ft"
-	"mpmcs4fta/internal/maxsat"
 )
 
 // Analyzer caches Steps 1–2 (the success-tree CNF encoding, which only
@@ -34,6 +34,7 @@ func NewAnalyzer(tree *ft.Tree, opts Options) (*Analyzer, error) {
 // applied on top of the tree's base probabilities (pass nil for none).
 // Unknown event ids in overrides are rejected.
 func (a *Analyzer) Analyze(ctx context.Context, overrides map[string]float64) (*Solution, error) {
+	start := time.Now()
 	working := a.tree.Clone()
 	for id, p := range overrides {
 		if err := working.SetProb(id, p); err != nil {
@@ -41,43 +42,13 @@ func (a *Analyzer) Analyze(ctx context.Context, overrides map[string]float64) (*
 		}
 	}
 	weights := LogWeights(working.Events(), a.opts.Scale)
-
-	instance := &cnf.WCNF{NumVars: a.enc.Formula.NumVars}
-	for _, clause := range a.enc.Formula.Clauses {
-		instance.AddHard(clause...)
-	}
-	for _, w := range weights {
-		y := cnf.Lit(a.enc.VarOf[w.ID])
-		switch {
-		case w.Hard:
-			instance.AddHard(y)
-		case w.Scaled > 0:
-			instance.AddSoft(w.Scaled, y)
-		}
-	}
+	steps := &Steps{Encoding: a.enc, Weights: weights, Instance: wpmsInstance(a.enc, weights)}
 
 	ctx, cancel := a.opts.withTimeout(ctx)
 	defer cancel()
 	root := a.opts.tracer().StartSpan("analyze-whatif")
 	defer root.End()
-	res, report, err := solveSpanned(ctx, instance, a.opts, root)
-	if err != nil {
-		return nil, err
-	}
-	switch res.Status {
-	case maxsat.Infeasible:
-		return nil, ErrNoCutSet
-	case maxsat.Optimal, maxsat.Feasible:
-	default:
-		return nil, noAnswerErr(ctx)
-	}
-	steps := &Steps{Encoding: a.enc, Weights: weights, Instance: instance}
-	sol, err := decodeSolution(working, steps, res, report, a.opts, root)
-	if err != nil {
-		return nil, err
-	}
-	recordAnalysisMetrics(a.opts.Metrics, sol, report)
-	return sol, nil
+	return solveOnce(ctx, working, steps, a.opts, root, start)
 }
 
 // SwitchPoint finds the smallest probability of the given event at
@@ -135,62 +106,15 @@ func (a *Analyzer) Tree() *ft.Tree { return a.tree.Clone() }
 // AnalyzeAbove enumerates every minimal cut set whose probability is at
 // least minProb, in descending order — "all the ways the system fails
 // with probability ≥ τ". It is the threshold variant of AnalyzeTopK,
-// built on the same blocking-clause loop.
+// built on the same blocking-clause loop. A tree with no cut set at all
+// is ErrNoCutSet; an empty result with a nil error means no cut set
+// reaches minProb. When the deadline cuts the enumeration short before
+// it settles whether any set reaches minProb, the error wraps
+// ErrNoAnswer.
 func AnalyzeAbove(ctx context.Context, tree *ft.Tree, minProb float64, opts Options) ([]*Solution, error) {
 	if minProb <= 0 || math.IsNaN(minProb) {
 		return nil, fmt.Errorf("core: minProb must be in (0,1], got %v", minProb)
 	}
-	opts = opts.withDefaults()
-	ctx, cancel := opts.withTimeout(ctx)
-	defer cancel()
-	root := opts.tracer().StartSpan("analyze-above")
-	defer root.End()
-	steps, err := buildSteps(tree, opts, root)
-	if err != nil {
-		return nil, err
-	}
-	instance := steps.Instance.Clone()
-
-	var out []*Solution
-	for {
-		res, report, err := solveSpanned(ctx, instance, opts, root)
-		if err != nil {
-			return out, err
-		}
-		if res.Status == maxsat.Infeasible {
-			break // every cut set enumerated; the rest rank below minProb
-		}
-		if res.Status == maxsat.Unknown {
-			// Deadline with nothing this round. An empty result must not
-			// read as "no cut set reaches the threshold" when the truth
-			// is "the solver never answered".
-			if len(out) == 0 {
-				return nil, noAnswerErr(ctx)
-			}
-			break
-		}
-		solution, err := decodeSolution(tree, steps, res, report, opts, root)
-		if err != nil {
-			return out, err
-		}
-		recordAnalysisMetrics(opts.Metrics, solution, report)
-		if solution.Probability < minProb {
-			break // everything after ranks lower still
-		}
-		out = append(out, solution)
-		if res.Status == maxsat.Feasible {
-			// Anytime round: not proven maximal, so stop before the
-			// descending-order contract is violated.
-			break
-		}
-		block := make([]cnf.Lit, 0, len(solution.MPMCS))
-		for _, e := range solution.MPMCS {
-			block = append(block, cnf.Lit(steps.Encoding.VarOf[e.ID]))
-		}
-		if len(block) == 0 {
-			break
-		}
-		instance.AddHard(block...)
-	}
-	return out, nil
+	out, _, err := enumerate(ctx, tree, ranking{span: "analyze-above", minProb: minProb}, opts)
+	return out, err
 }

@@ -195,6 +195,9 @@ func TestAnalyzeAboveFPS(t *testing.T) {
 		if sol.Probability < 0.002 {
 			t.Errorf("rank %d probability %v below threshold", i+1, sol.Probability)
 		}
+		if sol.ElapsedMS <= 0 {
+			t.Errorf("rank %d: elapsedMillis %v, want > 0", i+1, sol.ElapsedMS)
+		}
 	}
 	if !reflect.DeepEqual(sols[3].CutSetIDs(), []string{"x4"}) {
 		t.Errorf("last = %v, want [x4]", sols[3].CutSetIDs())

@@ -240,7 +240,9 @@ func NewAnalyzer(tree *Tree, opts Options) (*Analyzer, error) {
 }
 
 // AnalyzeAbove enumerates every minimal cut set with probability at
-// least minProb, in descending order.
+// least minProb, in descending order. A tree with no cut set at all
+// returns ErrNoCutSet; an empty result with a nil error means no cut
+// set reaches minProb.
 func AnalyzeAbove(ctx context.Context, tree *Tree, minProb float64, opts Options) ([]*Solution, error) {
 	return core.AnalyzeAbove(ctx, tree, minProb, opts)
 }

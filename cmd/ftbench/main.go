@@ -7,7 +7,7 @@
 //
 //	ftbench -exp all
 //	ftbench -exp e4 -sizes 50,100,500,1000 -timeout 60s
-//	ftbench -exp e4 -trace spans.json -metrics - -pprof localhost:6060
+//	ftbench -exp e4 -trace spans.json -metrics - -obs-listen localhost:6060
 //	ftbench -fleet testdata/ -fleet-workers 8 -fleet-out fleet.json
 //	ftbench -bench BENCH.json -compare testdata/bench/BENCH_baseline.json
 package main
@@ -84,8 +84,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		timeout  = fs.Duration("timeout", 2*time.Minute, "per-instance timeout")
 		listFlag = fs.Bool("list", false, "list available experiments and exit")
 		traceOut = fs.String("trace", "", "write a hierarchical span trace of every analysis as JSON")
-		metrics  = fs.String("metrics", "", "write a plain-text metrics snapshot ('-' for stderr)")
-		pprof    = fs.String("pprof", "", "serve net/http/pprof and expvar on this address while experiments run")
+		metrics  = fs.String("metrics", "", "write a metrics snapshot in the /metrics Prometheus text format ('-' for stderr)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile covering the whole run")
 		obsAddr  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
 
@@ -131,9 +130,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		defer func() {
 			var werr error
 			if target == "-" {
-				werr = p.metrics.WriteText(os.Stderr)
+				werr = p.metrics.WritePrometheus(os.Stderr)
 			} else {
-				werr = writeFile(target, p.metrics.WriteText)
+				werr = writeFile(target, p.metrics.WritePrometheus)
 			}
 			if err == nil {
 				err = werr
@@ -152,14 +151,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "ftbench: telemetry on http://%s/metrics and http://%s/events\n", bound, bound)
-	}
-	if *pprof != "" {
-		bound, stop, perr := obs.StartPprofServer(*pprof)
-		if perr != nil {
-			return perr
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "ftbench: pprof listening on http://%s/debug/pprof/\n", bound)
 	}
 	if *cpuProf != "" {
 		stop, perr := obs.StartCPUProfile(*cpuProf)

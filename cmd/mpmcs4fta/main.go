@@ -11,10 +11,11 @@
 //	          [-engine portfolio|bdd] [-sequential] [-timeout 30s] [-pg]
 //	          [-no-decompose] [-decompose-workers N]
 //	          [-output out.json] [-dot out.dot] [-wcnf out.wcnf] [-report]
-//	          [-trace spans.json] [-metrics metrics.txt] [-pprof addr]
+//	          [-trace spans.json] [-metrics metrics.prom]
 //	          [-cpuprofile cpu.prof] [-obs-listen addr] [-obs-linger 30s]
 //
-// The input file may also be given as a positional argument.
+// The input file may also be given as a positional argument. -metrics
+// writes the Prometheus text that -obs-listen serves on /metrics.
 package main
 
 import (
@@ -64,8 +65,7 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		report     = fs.Bool("report", false, "emit a full FTA report (P(top), SPOFs, cut-set count, importance measures) around the solution")
 		disjoint   = fs.Bool("disjoint", false, "with -topk: enumerate event-disjoint cut sets (independent failure modes)")
 		traceFile  = fs.String("trace", "", "write a hierarchical span trace of the analysis as JSON")
-		metricsOut = fs.String("metrics", "", "write a plain-text metrics snapshot ('-' for stderr)")
-		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+		metricsOut = fs.String("metrics", "", "write a metrics snapshot in the /metrics Prometheus text format ('-' for stderr)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the analysis")
 		obsListen  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
 		obsLinger  = fs.Duration("obs-linger", 0, "with -obs-listen: keep serving telemetry this long after the analysis completes")
@@ -138,14 +138,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "mpmcs4fta: telemetry on http://%s/metrics and http://%s/events\n", bound, bound)
-	}
-	if *pprofAddr != "" {
-		bound, stop, perr := obs.StartPprofServer(*pprofAddr)
-		if perr != nil {
-			return serve.ExitError, perr
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "mpmcs4fta: pprof listening on http://%s/debug/pprof/\n", bound)
 	}
 	if *cpuProfile != "" {
 		stop, perr := obs.StartCPUProfile(*cpuProfile)
@@ -321,17 +313,17 @@ func writeTrace(path string, tracer *mpmcs4fta.JSONTracer) error {
 	return f.Close()
 }
 
-// writeMetrics dumps the counter registry as sorted "name value" lines;
-// "-" writes to stderr so it composes with -output on stdout.
+// writeMetrics dumps the registry as /metrics Prometheus text; "-"
+// writes to stderr so it composes with -output on stdout.
 func writeMetrics(path string, m *mpmcs4fta.Metrics) error {
 	if path == "-" {
-		return m.WriteText(os.Stderr)
+		return m.WritePrometheus(os.Stderr)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := m.WriteText(f); err != nil {
+	if err := m.WritePrometheus(f); err != nil {
 		f.Close()
 		return fmt.Errorf("write metrics: %w", err)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpmcs4fta/internal/obs"
 )
 
 const fpsText = `
@@ -214,7 +216,7 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	input := writeTemp(t, "fps.txt", fpsText)
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.txt")
+	metricsPath := filepath.Join(dir, "metrics.prom")
 
 	var out bytes.Buffer
 	// Positional input (no -input flag) is part of the contract here.
@@ -265,10 +267,13 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n, err := obs.ValidatePrometheusText(bytes.NewReader(metrics)); err != nil || n == 0 {
+		t.Errorf("metrics snapshot is not valid /metrics text (%d samples, %v):\n%s", n, err, metrics)
+	}
 	if !strings.Contains(string(metrics), "analyses 1") {
 		t.Errorf("metrics snapshot missing analyses counter:\n%s", metrics)
 	}
-	if !strings.Contains(string(metrics), "winner.") {
+	if !strings.Contains(string(metrics), "winner_") {
 		t.Errorf("metrics snapshot missing winner counter:\n%s", metrics)
 	}
 }

@@ -349,12 +349,14 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 		root.SetString("tree", tree.Name())
 	}
 	if plan := decompositionPlan(tree, opts); plan != nil {
-		solution, err := analyzeDecomposed(ctx, tree, plan, opts, root)
+		solution, races, err := analyzeDecomposed(ctx, tree, plan, opts, root)
 		if err != nil {
 			return nil, err
 		}
 		solution.ElapsedMS = millisSince(start)
-		recordDecomposedMetrics(opts.Metrics, solution, plan, time.Since(start))
+		opts.Metrics.Add("modular_analyses", 1)
+		opts.Metrics.Add("modules_solved", int64(len(plan.Nodes)))
+		recordAnalysisMetrics(opts.Metrics, solution, time.Since(start), races...)
 		return solution, nil
 	}
 	steps, err := buildSteps(tree, opts, root)
@@ -471,7 +473,7 @@ func decodeSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portf
 		return nil, err
 	}
 	solution.ElapsedMS = millisSince(start)
-	recordAnalysisMetrics(opts.Metrics, solution, report)
+	recordAnalysisMetrics(opts.Metrics, solution, report.Elapsed, report)
 	return solution, nil
 }
 
@@ -481,16 +483,16 @@ func millisSince(start time.Time) float64 {
 }
 
 // recordAnalysisMetrics folds one completed analysis into the
-// process-level counters. Safe on a nil registry.
-func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, report portfolio.Report) {
+// process-level counters. elapsed is its solve time; races holds the
+// report of every portfolio race whose model the solution is built
+// from: one for a monolithic solve, one per module for a decomposed
+// one. Safe on a nil registry.
+func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, elapsed time.Duration, races ...portfolio.Report) {
 	if m == nil {
 		return
 	}
 	m.Add("analyses", 1)
-	m.Add("solve_us_total", report.Elapsed.Microseconds())
-	if report.Winner != "" {
-		m.Add("winner."+report.Winner, 1)
-	}
+	m.Add("solve_us_total", elapsed.Microseconds())
 	if sol.Status == maxsat.Feasible.String() {
 		m.Add("anytime_answers", 1)
 	}
@@ -499,13 +501,18 @@ func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, report portfolio.Repor
 	m.Add("conflicts", s.Conflicts)
 	m.Add("decisions", s.Decisions)
 	m.Add("propagations", s.Propagations)
-	if c := report.Coop; c.ModelsPublished > 0 || c.LowerBoundsPublished > 0 {
-		m.Add("coop_models_published", c.ModelsPublished)
-		m.Add("coop_models_improved", c.ModelsImproved)
-		m.Add("coop_lower_bounds_published", c.LowerBoundsPublished)
-	}
-	if report.Coop.RaceClosedByBounds {
-		m.Add("coop_race_closed_by_bounds", 1)
+	for _, r := range races {
+		if r.Winner != "" {
+			m.Add("winner."+r.Winner, 1)
+		}
+		if c := r.Coop; c.ModelsPublished > 0 || c.LowerBoundsPublished > 0 {
+			m.Add("coop_models_published", c.ModelsPublished)
+			m.Add("coop_models_improved", c.ModelsImproved)
+			m.Add("coop_lower_bounds_published", c.LowerBoundsPublished)
+		}
+		if r.Coop.RaceClosedByBounds {
+			m.Add("coop_race_closed_by_bounds", 1)
+		}
 	}
 }
 

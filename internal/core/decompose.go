@@ -4,12 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
+	"sync"
 
 	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/maxsat"
 	"mpmcs4fta/internal/obs"
+	"mpmcs4fta/internal/portfolio"
 	"mpmcs4fta/internal/sched"
 )
 
@@ -34,8 +35,9 @@ func decompositionPlan(tree *ft.Tree, opts Options) *decomp.Plan {
 // Steps-1–6 pipeline over its quotient tree (its own portfolio race,
 // with the bus and metrics riding the context as usual), scheduled
 // bottom-up over a shared worker pool, and the module optima are
-// recombined into one Solution over the original tree.
-func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, opts Options, parent obs.SpanStarter) (*Solution, error) {
+// recombined into one Solution over the original tree. It also returns
+// the portfolio report of every module race that produced a model.
+func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, opts Options, parent obs.SpanStarter) (*Solution, []portfolio.Report, error) {
 	pool := sched.New(opts.DecomposeWorkers)
 	defer pool.Close()
 
@@ -46,6 +48,10 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 		sp.SetInt("workers", int64(pool.Workers()))
 	}
 
+	var (
+		racesMu sync.Mutex
+		races   []portfolio.Report
+	)
 	solveNode := func(nodeCtx context.Context, node *decomp.PlanNode) (decomp.ModuleSolution, error) {
 		msp := sp.StartSpan("module")
 		defer msp.End()
@@ -82,6 +88,9 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 			return sol, fmt.Errorf("core: module %q: %w", node.ID, noAnswerErr(nodeCtx))
 		}
 
+		racesMu.Lock()
+		races = append(races, report)
+		racesMu.Unlock()
 		sol.CutSet = modelCutSet(node.Tree, steps, res.Model)
 		sol.Probability = 1
 		for _, id := range sol.CutSet {
@@ -98,12 +107,13 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 
 	outcome, err := decomp.Execute(ctx, plan, solveNode, decomp.ExecOptions{Pool: pool, Bus: opts.Bus})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if outcome.Impossible {
-		return nil, ErrNoCutSet
+		return nil, nil, ErrNoCutSet
 	}
-	return composeSolution(tree, plan, outcome, opts)
+	solution, err := composeSolution(tree, plan, outcome, opts)
+	return solution, races, err
 }
 
 // composeSolution performs the decomposed Step 6: the expanded cut set
@@ -135,24 +145,4 @@ func composeSolution(tree *ft.Tree, plan *decomp.Plan, outcome *decomp.Outcome, 
 		solution.ProbabilityUpperBound = math.Exp(-(solution.LogCost - outcome.GapLog))
 	}
 	return solution, nil
-}
-
-// recordDecomposedMetrics folds one modular analysis into the
-// process-level counters. Safe on a nil registry.
-func recordDecomposedMetrics(m *obs.Metrics, sol *Solution, plan *decomp.Plan, elapsed time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Add("analyses", 1)
-	m.Add("modular_analyses", 1)
-	m.Add("modules_solved", int64(len(plan.Nodes)))
-	m.Add("solve_us_total", elapsed.Microseconds())
-	if sol.Status == maxsat.Feasible.String() {
-		m.Add("anytime_answers", 1)
-	}
-	s := sol.Stats.Solver
-	m.Add("sat_calls", s.SATCalls)
-	m.Add("conflicts", s.Conflicts)
-	m.Add("decisions", s.Decisions)
-	m.Add("propagations", s.Propagations)
 }

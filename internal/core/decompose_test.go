@@ -55,8 +55,20 @@ func TestAnalyzeDecomposedMatchesMonolithic(t *testing.T) {
 	if got := metrics.Get("modular_analyses"); got != 1 {
 		t.Fatalf("modular_analyses = %d: the decomposed path did not run", got)
 	}
-	if got := metrics.Get("modules_solved"); got < 4 {
-		t.Fatalf("modules_solved = %d, want ≥4", got)
+	modules := metrics.Get("modules_solved")
+	if modules < 4 {
+		t.Fatalf("modules_solved = %d, want ≥4", modules)
+	}
+	// Every module of this tree has a cut set, so each module race
+	// counts exactly one winner.
+	var winners int64
+	for name, n := range metrics.Snapshot() {
+		if strings.HasPrefix(name, "winner.") {
+			winners += n
+		}
+	}
+	if winners != modules {
+		t.Fatalf("winner.* counters sum to %d, want one per module (%d)", winners, modules)
 	}
 
 	monolithic, err := Analyze(context.Background(), tree, Options{

@@ -1,24 +1,18 @@
 package obs
 
-import (
-	"expvar"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Metrics is a small named-metric registry — counters, gauges and
-// histograms — the process-level aggregate view that complements
-// per-analysis traces. All methods are safe for concurrent use and
-// safe on a nil receiver (a nil *Metrics is the disabled state, so
-// callers can record unconditionally). Hot paths should look up a
-// *Histogram handle once (Histogram) and Observe on it directly
-// rather than going through the registry map per observation.
+// Metrics is a small named-metric registry — counters and histograms —
+// the process-level aggregate view that complements per-analysis
+// traces. WritePrometheus is its one export format. All methods are
+// safe for concurrent use and safe on a nil receiver (a nil *Metrics
+// is the disabled state, so callers can record unconditionally). Hot
+// paths should look up a *Histogram handle once (Histogram) and
+// Observe on it directly rather than going through the registry map
+// per observation.
 type Metrics struct {
 	mu         sync.Mutex
 	counters   map[string]int64      // guarded by mu
-	gauges     map[string]float64    // guarded by mu
 	histograms map[string]*Histogram // guarded by mu; values are internally atomic
 }
 
@@ -26,7 +20,6 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters:   make(map[string]int64),
-		gauges:     make(map[string]float64),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -51,27 +44,6 @@ func (m *Metrics) Get(name string) int64 {
 	return m.counters[name]
 }
 
-// SetGauge sets the named gauge to the given value. No-op on a nil
-// receiver.
-func (m *Metrics) SetGauge(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.gauges[name] = v
-	m.mu.Unlock()
-}
-
-// Gauge returns the named gauge's value (0 when absent or nil).
-func (m *Metrics) Gauge(name string) float64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gauges[name]
-}
-
 // Histogram returns the named histogram, creating it with the given
 // bucket bounds on first use. Subsequent calls ignore the bounds and
 // return the existing histogram, so concurrent callers agree on one
@@ -91,13 +63,6 @@ func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Observe records one value into the named histogram, creating it with
-// the given bounds on first use. Convenience for cold paths; hot paths
-// should cache the Histogram handle.
-func (m *Metrics) Observe(name string, bounds []float64, v float64) {
-	m.Histogram(name, bounds).Observe(v)
-}
-
 // Snapshot returns a copy of all counters.
 func (m *Metrics) Snapshot() map[string]int64 {
 	if m == nil {
@@ -107,20 +72,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	defer m.mu.Unlock()
 	out := make(map[string]int64, len(m.counters))
 	for k, v := range m.counters {
-		out[k] = v
-	}
-	return out
-}
-
-// GaugeSnapshot returns a copy of all gauges.
-func (m *Metrics) GaugeSnapshot() map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.gauges))
-	for k, v := range m.gauges {
 		out[k] = v
 	}
 	return out
@@ -139,56 +90,4 @@ func (m *Metrics) histogramSnapshot() map[string]*Histogram {
 		out[k] = v
 	}
 	return out
-}
-
-// WriteText writes a plain-text snapshot of the counters, one
-// "name value" line per counter, sorted by name — the format the CLI
-// --metrics flag emits. Gauges follow as "name value" with a float
-// value, then histograms as "name_count"/"name_sum" summary lines; the
-// full bucket breakdown is Prometheus-only (WritePrometheus).
-func (m *Metrics) WriteText(w io.Writer) error {
-	snap := m.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if _, err := fmt.Fprintf(w, "%s %d\n", k, snap[k]); err != nil {
-			return err
-		}
-	}
-	gauges := m.GaugeSnapshot()
-	names = names[:0]
-	for k := range gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if _, err := fmt.Fprintf(w, "%s %g\n", k, gauges[k]); err != nil {
-			return err
-		}
-	}
-	hists := m.histogramSnapshot()
-	names = names[:0]
-	for k := range hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		h := hists[k]
-		if _, err := fmt.Fprintf(w, "%s_count %d\n%s_sum %g\n", k, h.Count(), k, h.Sum()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Publish exposes the registry under the given expvar name as a JSON
-// map, so a process already serving /debug/vars (e.g. via the --pprof
-// flag) exports the counters with no extra plumbing. Publishing the
-// same name twice panics (an expvar property), so call once per
-// process.
-func (m *Metrics) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }

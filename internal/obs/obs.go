@@ -1,7 +1,8 @@
 // Package obs is the repo's zero-dependency observability layer:
 // hierarchical tracing for the six-step MPMCS pipeline, per-engine
-// solver telemetry types, a small counter registry exportable as plain
-// text or expvar, and pprof helpers.
+// solver telemetry types, a counter and histogram registry exported in
+// the Prometheus text format, live telemetry (EventBus, Server) and a
+// CPU-profile helper.
 //
 // The design rule is that observability must cost nothing when unused:
 // the no-op Tracer and Span are zero-size values whose method calls

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -130,12 +129,12 @@ func TestMetrics(t *testing.T) {
 		t.Errorf("analyses = %d", got)
 	}
 	var buf bytes.Buffer
-	if err := m.WriteText(&buf); err != nil {
+	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := "analyses 3\nconflicts 40\n"
+	want := "# TYPE analyses counter\nanalyses 3\n# TYPE conflicts counter\nconflicts 40\n"
 	if buf.String() != want {
-		t.Errorf("WriteText = %q, want %q", buf.String(), want)
+		t.Errorf("WritePrometheus = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -146,8 +145,8 @@ func TestMetricsNilSafe(t *testing.T) {
 		t.Error("nil metrics should read as empty")
 	}
 	var buf bytes.Buffer
-	if err := m.WriteText(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil WriteText: %v %q", err, buf.String())
+	if err := m.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Errorf("nil WritePrometheus: %v %q", err, buf.String())
 	}
 }
 
@@ -180,22 +179,6 @@ func TestSolverStatsAdd(t *testing.T) {
 	}
 	if len(a.Bounds) != 2 || a.Bounds[1].Lower != 3 {
 		t.Errorf("bounds %+v", a.Bounds)
-	}
-}
-
-func TestStartPprofServer(t *testing.T) {
-	addr, stop, err := StartPprofServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof index status %d", resp.StatusCode)
 	}
 }
 

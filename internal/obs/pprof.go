@@ -2,34 +2,9 @@ package obs
 
 import (
 	"fmt"
-	"net"
-	"net/http"
-	httppprof "net/http/pprof"
 	"os"
 	"runtime/pprof"
 )
-
-// StartPprofServer serves the net/http/pprof handlers (and expvar's
-// /debug/vars) on addr and returns the bound address plus a stop
-// function. It uses a private mux, so importing this package does not
-// pollute http.DefaultServeMux.
-func StartPprofServer(addr string) (boundAddr string, stop func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: pprof listen on %s: %w", addr, err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	mux.Handle("/debug/vars", http.DefaultServeMux) // expvar registers there
-	srv := &http.Server{Handler: mux}
-	//lint:ignore goroutinewait server goroutine lives until the returned stop function calls srv.Close
-	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed after stop
-	return ln.Addr().String(), srv.Close, nil
-}
 
 // StartCPUProfile writes a CPU profile to path until the returned stop
 // function is called.

@@ -10,7 +10,7 @@ import (
 )
 
 // WritePrometheus writes the registry in Prometheus text exposition
-// format 0.0.4: counters and gauges as single samples, histograms as
+// format 0.0.4: counters as single samples, histograms as
 // cumulative le= buckets plus _sum and _count. Metric names are
 // sanitised to the Prometheus charset ([a-zA-Z_:][a-zA-Z0-9_:]*), so
 // the registry's dotted names ("solve.sat_calls") export cleanly.
@@ -30,17 +30,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	for _, k := range names {
 		name := PrometheusName(k)
 		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", name, name, counters[k])
-	}
-
-	gauges := m.GaugeSnapshot()
-	names = names[:0]
-	for k := range gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		name := PrometheusName(k)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", name, name, formatPromValue(gauges[k]))
 	}
 
 	hists := m.histogramSnapshot()

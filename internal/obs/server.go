@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// Server is the embeddable telemetry endpoint behind the CLIs'
-// --obs-listen flag and the future mpmcsd service:
+// Server is the embeddable telemetry endpoint, and the repo's one
+// pprof server, behind the CLIs' --obs-listen flag and mpmcsd:
 //
-//	/metrics       Prometheus text format 0.0.4 (counters, gauges,
+//	/metrics       Prometheus text format 0.0.4 (counters and
 //	               histograms, plus the bus's own health gauges)
 //	/events        Server-Sent Events stream of live solver events —
 //	               the bound trajectory as it converges

@@ -27,7 +27,6 @@ func TestServerMetricsPrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.Add("analyses", 3)
 	m.Add("winner.wmsu1-strat", 2) // dotted+dashed name needs sanitising
-	m.SetGauge("queue.depth", 7)
 	h := m.Histogram("solver.sat_call_seconds", DurationBuckets)
 	h.Observe(0.002)
 	h.Observe(0.3)
@@ -57,7 +56,6 @@ func TestServerMetricsPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"analyses 3",
 		"winner_wmsu1_strat 2",
-		"queue_depth 7",
 		`solver_sat_call_seconds_bucket{le="+Inf"} 3`,
 		"solver_sat_call_seconds_count 3",
 		"obs_bus_events_published 1",

@@ -11,6 +11,7 @@ import (
 	"mpmcs4fta/internal/boolexpr"
 	"mpmcs4fta/internal/cnf"
 	"mpmcs4fta/internal/core"
+	"mpmcs4fta/internal/fp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/gen"
 	"mpmcs4fta/internal/maxsat"
@@ -32,7 +33,7 @@ func runE1(ctx context.Context, w io.Writer, p params) error {
 	fmt.Fprintf(w, "probability: %.6g   (paper: {x1,x2} with 0.02)\n", sol.Probability)
 	fmt.Fprintf(w, "winner: %s   elapsed: %.3f ms\n", sol.Solver, sol.ElapsedMS)
 	status := "MATCH"
-	if fmt.Sprintf("%v", sol.CutSetIDs()) != "[x1 x2]" || !close2(sol.Probability, 0.02) {
+	if fmt.Sprintf("%v", sol.CutSetIDs()) != "[x1 x2]" || !fp.Eq(sol.Probability, 0.02) {
 		status = "MISMATCH"
 	}
 	fmt.Fprintf(w, "paper agreement: %s\n", status)
@@ -168,7 +169,7 @@ func runE6(ctx context.Context, w io.Writer, p params) error {
 			continue
 		}
 		agree := "yes"
-		if !close2(viaSAT.Probability, viaBDD.Probability) {
+		if !fp.Eq(viaSAT.Probability, viaBDD.Probability) {
 			agree = fmt.Sprintf("NO (%g vs %g)", viaSAT.Probability, viaBDD.Probability)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%s\n", n, fmtDur(satTime), fmtDur(bddTime), viaBDD.Stats.Vars, agree)
@@ -350,7 +351,7 @@ func runE10(_ context.Context, w io.Writer, p params) error {
 		// (the BDD's Shannon sums reach exact 0 first); both answers
 		// mean "never happens", so call that agreement.
 		const negligible = 1e-100
-		if !close2(fast, exact) && (fast > negligible || exact > negligible) {
+		if !fp.Eq(fast, exact) && (fast > negligible || exact > negligible) {
 			agree = fmt.Sprintf("NO (%g vs %g)", fast, exact)
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.4g\t%s\n", n, fmtDur(fastTime), fmtDur(bddTime), exact, agree)
@@ -428,22 +429,10 @@ func capSizes(sizes []int, limit int) []int {
 	return out
 }
 
-func close2(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := a
-	if b > a {
-		scale = b
-	}
-	return diff <= 1e-9*scale
-}
-
 func fmtDur(d time.Duration) string {
 	switch {
 	case d < time.Millisecond:
-		return fmt.Sprintf("%.1fµs", float64(d.Microseconds()))
+		return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/1000)
 	case d < time.Second:
 		return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 	default:

@@ -6,9 +6,7 @@ package main
 // Parallelism comes from the batch, not from within one instance: each
 // analysis runs with a sequential portfolio and a single-worker
 // decomposition budget, so `-fleet-workers` is the whole run's CPU
-// budget. The throughput number also exists as the calibrated
-// `fleet8-batch` scenario of the nightly suite, so regressions are
-// gated against the checked-in baseline.
+// budget.
 
 import (
 	"bufio"

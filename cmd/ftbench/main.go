@@ -1,6 +1,6 @@
 // Command ftbench regenerates every table and figure of the paper's
 // evaluation, plus the ablation experiments listed in DESIGN.md
-// (experiment ids E1–E9). Output is aligned text suitable for diffing
+// (experiment ids E1–E11). Output is aligned text suitable for diffing
 // against EXPERIMENTS.md.
 //
 // Usage:
@@ -9,7 +9,6 @@
 //	ftbench -exp e4 -sizes 50,100,500,1000 -timeout 60s
 //	ftbench -exp e4 -trace spans.json -metrics - -obs-listen localhost:6060
 //	ftbench -fleet testdata/ -fleet-workers 8 -fleet-out fleet.json
-//	ftbench -bench BENCH.json -compare testdata/bench/BENCH_baseline.json
 package main
 
 import (
@@ -18,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -76,9 +76,14 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) (err error) {
+	exps := experiments()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.id
+	}
 	fs := flag.NewFlagSet("ftbench", flag.ContinueOnError)
 	var (
-		expFlag  = fs.String("exp", "all", "comma-separated experiment ids (e1..e9) or 'all'")
+		expFlag  = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(ids, ",")+") or 'all'")
 		sizes    = fs.String("sizes", "50,100,500,1000,2000,5000", "tree sizes (basic events) for scaling experiments")
 		seed     = fs.Int64("seed", 1, "workload seed")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "per-instance timeout")
@@ -88,12 +93,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile covering the whole run")
 		obsAddr  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
 
-		benchOut  = fs.String("bench", "", "run the nightly benchmark suite and write BENCH JSON to this file")
-		baseline  = fs.String("compare", "", "compare the benchmark run against this baseline BENCH JSON, failing on regression")
-		benchTime = fs.Duration("benchtime", time.Second, "minimum measuring time per benchmark scenario")
-		benchReps = fs.Int("bench-reps", 1, "suite repetitions; the best (lowest) score per scenario is kept, damping shared-runner noise")
-		benchTol  = fs.Float64("bench-tolerance", 0.10, "allowed relative score regression before -compare fails")
-
 		fleet        = fs.String("fleet", "", "fleet mode: solve every .json/.txt tree in this directory (or file, or '-' for newline-separated paths on stdin) on one shared worker pool")
 		fleetWorkers = fs.Int("fleet-workers", 0, "fleet worker budget (0 = GOMAXPROCS)")
 		fleetOut     = fs.String("fleet-out", "", "write the fleet throughput report JSON to this file")
@@ -101,14 +100,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *benchOut != "" || *baseline != "" {
-		return runBenchMode(*benchOut, *baseline, *benchTime, *benchReps, *benchTol, stdout)
-	}
 	if *fleet != "" {
+		var conflict string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "exp" || f.Name == "sizes" || f.Name == "list" {
+				conflict = f.Name
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-fleet cannot be combined with -%s", conflict)
+		}
 		return runFleetMode(*fleet, *fleetWorkers, *fleetOut, *timeout, os.Stdin, stdout)
 	}
 	if *listFlag {
-		for _, e := range experiments() {
+		for _, e := range exps {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.id, e.title)
 		}
 		return nil
@@ -173,30 +178,35 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	want := make(map[string]bool)
 	if *expFlag == "all" {
-		for _, e := range experiments() {
-			want[e.id] = true
+		for _, id := range ids {
+			want[id] = true
 		}
 	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
+		for _, tok := range strings.Split(*expFlag, ",") {
+			id := strings.ToLower(strings.TrimSpace(tok))
+			if id == "" {
+				continue
+			}
+			if !slices.Contains(ids, id) {
+				return fmt.Errorf("unknown experiment %q (have %s or all)", id, strings.Join(ids, ","))
+			}
+			want[id] = true
 		}
+	}
+	if len(want) == 0 {
+		return fmt.Errorf("-exp %q names no experiment", *expFlag)
 	}
 
 	ctx := context.Background()
-	ran := 0
-	for _, e := range experiments() {
+	for _, e := range exps {
 		if !want[e.id] {
 			continue
 		}
-		ran++
 		fmt.Fprintf(stdout, "== %s: %s ==\n", strings.ToUpper(e.id), e.title)
 		if err := e.run(ctx, stdout, p); err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		fmt.Fprintln(stdout)
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matched %q", *expFlag)
 	}
 	return nil
 }

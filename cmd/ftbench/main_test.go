@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunList(t *testing.T) {
@@ -74,6 +75,9 @@ func TestRunErrors(t *testing.T) {
 		args []string
 	}{
 		{"unknown experiment", []string{"-exp", "e99"}},
+		{"unknown id in a list", []string{"-exp", "e1,e99"}},
+		{"no id", []string{"-exp", " , "}},
+		{"fleet with exp", []string{"-fleet", "../../testdata", "-exp", "e1"}},
 		{"bad size", []string{"-exp", "e4", "-sizes", "abc"}},
 		{"size too small", []string{"-exp", "e4", "-sizes", "1"}},
 	}
@@ -99,16 +103,17 @@ func TestCapSizes(t *testing.T) {
 
 func TestFmtDur(t *testing.T) {
 	tests := []struct {
-		give string
+		give time.Duration
 		want string
 	}{
-		{"1.5µs", "µs"},
-		{"20ms", "ms"},
-		{"3s", "s"},
+		{1500 * time.Nanosecond, "1.5µs"},
+		{800 * time.Nanosecond, "0.8µs"},
+		{20 * time.Millisecond, "20.00ms"},
+		{3 * time.Second, "3.00s"},
 	}
 	for _, tt := range tests {
-		if !strings.Contains(tt.give, tt.want) {
-			t.Errorf("sanity: %s should contain %s", tt.give, tt.want)
+		if got := fmtDur(tt.give); got != tt.want {
+			t.Errorf("fmtDur(%v) = %q, want %q", tt.give, got, tt.want)
 		}
 	}
 }

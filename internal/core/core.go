@@ -68,8 +68,10 @@ type Options struct {
 	// Engines is the Step-5 portfolio; nil selects
 	// portfolio.DefaultEngines().
 	Engines []portfolio.Engine
-	// Sequential runs the engines one at a time (deterministic winner,
-	// useful for tests and per-engine benchmarking).
+	// Sequential runs the same portfolio race with one engine in
+	// flight (portfolio.SolveSequential): the first engine in order
+	// with a definitive answer wins, which makes the winner
+	// deterministic for tests and per-engine benchmarking.
 	Sequential bool
 	// Scale overrides DefaultScale.
 	Scale float64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -176,15 +177,23 @@ func TestAnalyzeNoTracerZeroStepAllocs(t *testing.T) {
 // never fall — BoundImproved is published under the Bounds lock), and
 // a solveFinished terminal frame.
 func TestAnalyzeEventStream(t *testing.T) {
-	bus := obs.NewEventBus()
-	sub := bus.Subscribe(4096)
-	defer sub.Close()
-
-	sol, err := Analyze(context.Background(), gen.FPS(), Options{Bus: bus})
-	if err != nil {
-		t.Fatal(err)
+	for _, sequential := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sequential=%v", sequential), func(t *testing.T) {
+			bus := obs.NewEventBus()
+			sub := bus.Subscribe(4096)
+			defer sub.Close()
+			sol, err := Analyze(context.Background(), gen.FPS(), Options{Bus: bus, Sequential: sequential})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEventStream(t, sub, sol)
+		})
 	}
+}
 
+// checkEventStream drains one analysis's frames and checks their order,
+// bound monotonicity and terminal status against sol.
+func checkEventStream(t *testing.T, sub *obs.Subscription, sol *Solution) {
 	var events []obs.Event
 	deadline := time.After(10 * time.Second)
 drain:

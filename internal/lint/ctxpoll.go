@@ -28,7 +28,6 @@ func runCtxPoll(pass *Pass) {
 	if !pathEndsIn(pass.Pkg.Path, "sat", "maxsat", "portfolio") {
 		return
 	}
-	polls := pollingFuncs(pass.All)
 	for _, f := range pass.Pkg.Files {
 		if isTestFile(pass.Fset, f) {
 			continue
@@ -38,7 +37,7 @@ func runCtxPoll(pass *Pass) {
 			if !ok || loop.Cond != nil {
 				return true
 			}
-			if !reachesPoll(pass.Pkg.Info, loop.Body, polls) {
+			if !reachesPoll(pass.Pkg.Info, loop.Body, pass.Summaries) {
 				pass.Reportf(loop.For, "indefinitely iterating loop never polls the context: "+
 					"add a ctx.Err()/ctx.Done() check or a call that polls, or annotate why the loop is bounded")
 			}
@@ -47,97 +46,16 @@ func runCtxPoll(pass *Pass) {
 	}
 }
 
-// pollingFuncs computes, over every loaded module package, the set of
-// functions whose bodies (transitively) poll a context: a fixed point
-// over the static call graph seeded with functions that poll directly.
-func pollingFuncs(all map[string]*Package) map[types.Object]bool {
-	type declInfo struct {
-		decl *ast.FuncDecl
-		info *types.Info
-	}
-	decls := make(map[types.Object]declInfo)
-	polls := make(map[types.Object]bool)
-	for _, pkg := range all {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj := pkg.Info.Defs[fd.Name]
-				if obj == nil {
-					continue
-				}
-				decls[obj] = declInfo{decl: fd, info: pkg.Info}
-				if pollsDirectly(pkg.Info, fd.Body) {
-					polls[obj] = true
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, di := range decls {
-			if polls[obj] {
-				continue
-			}
-			found := false
-			inspectSkippingFuncLits(di.decl.Body, func(n ast.Node) {
-				if found {
-					return
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee := calleeOf(di.info, call); callee != nil && polls[callee] {
-						found = true
-					}
-				}
-			})
-			if found {
-				polls[obj] = true
-				changed = true
-			}
-		}
-	}
-	return polls
-}
-
 // reachesPoll reports whether the loop body contains a direct context
-// poll, a call handing a context down, or a call to a known polling
-// function. Function literals are skipped: defining a closure inside
-// the loop does not mean it runs every iteration.
-func reachesPoll(info *types.Info, body *ast.BlockStmt, polls map[types.Object]bool) bool {
+// poll, a call handing a context down, or a call to a function whose
+// summary may poll. Function literals are skipped: defining a closure
+// inside the loop does not mean it runs every iteration.
+func reachesPoll(info *types.Info, body *ast.BlockStmt, sums *Summaries) bool {
 	found := false
 	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if found {
-			return
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if isDirectCtxPoll(info, call) || passesContext(info, call) {
-			found = true
-			return
-		}
-		if callee := calleeOf(info, call); callee != nil && polls[callee] {
-			found = true
-		}
-	})
-	return found
-}
-
-// pollsDirectly reports whether the body itself checks a context or
-// hands one to a callee (not counting nested function literals).
-func pollsDirectly(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		if found {
-			return
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if isDirectCtxPoll(info, call) || passesContext(info, call) {
-				found = true
-			}
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			found = isDirectCtxPoll(info, call) || passesContext(info, call) ||
+				sums.Of(calleeOf(info, call)).MayPoll
 		}
 	})
 	return found

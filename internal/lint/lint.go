@@ -56,9 +56,9 @@ type Pass struct {
 	// reasoning. In vettool mode only Pkg itself is present.
 	All map[string]*Package
 	// Summaries holds the per-function interprocedural summaries
-	// (may-GC, may-block, acquires) computed once per Run over All; the
-	// second-generation analyzers consult it instead of re-walking the
-	// call graph. In vettool mode it covers the single package, so
+	// (may-GC, may-block, may-poll, acquires) computed once per Run over
+	// All; ctxpoll and the second-generation analyzers consult it
+	// instead of re-walking the call graph. In vettool mode it covers the single package, so
 	// cross-package properties degrade to "unknown" (no finding).
 	Summaries *Summaries
 

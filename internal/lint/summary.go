@@ -9,9 +9,9 @@ import (
 
 // FuncSummary is the interprocedural behaviour summary of one declared
 // function, computed once per Run over every loaded module package and
-// shared by the second-generation analyzers (arenaref, lockorder). Each
-// field is a conservative may-property: false means "provably does
-// not", true means "might".
+// shared by ctxpoll and the second-generation analyzers (arenaref,
+// lockorder). Each field is a conservative may-property: false means
+// "provably does not", true means "might".
 type FuncSummary struct {
 	// MayGC: the function may trigger an arena compaction — a call to
 	// an arena reloc (directly or transitively). A compaction rewrites
@@ -32,6 +32,10 @@ type FuncSummary struct {
 	// Blocks names the first blocking operation that seeded MayBlock,
 	// for diagnostics ("channel send", "call to Pool.Submit", ...).
 	Blocks string
+	// MayPoll: the function may poll a context — a ctx.Err()/ctx.Done()
+	// check or a call handing a context.Context down (the callee is
+	// presumed to honor it), directly or transitively.
+	MayPoll bool
 	// Acquires lists the mutex classes the function locks itself
 	// (Lock/RLock on a sync.Mutex/RWMutex), directly or transitively,
 	// keyed by mutexKeyOf.
@@ -60,8 +64,7 @@ func (s *Summaries) Of(obj types.Object) FuncSummary {
 // summarize computes the fixed point of FuncSummary over the static
 // call graph of every loaded module package: seed each declared
 // function with its directly-observable behaviour, then propagate
-// callee properties to callers until nothing changes (the same shape as
-// ctxpoll's pollingFuncs, generalised to four properties).
+// callee properties to callers until nothing changes.
 //
 // Function literals are deliberately excluded from seeding: defining a
 // closure that blocks does not block the definer, and calls through
@@ -114,6 +117,9 @@ func summarize(all map[string]*Package) *Summaries {
 				if cs.MayMove && !sum.MayMove {
 					sum.MayMove, changed = true, true
 				}
+				if cs.MayPoll && !sum.MayPoll {
+					sum.MayPoll, changed = true, true
+				}
 				if cs.MayBlock && !sum.MayBlock {
 					sum.MayBlock, changed = true, true
 					sum.Blocks = "call to " + callee.Name() + " (" + cs.Blocks + ")"
@@ -143,6 +149,9 @@ func seedSummary(info *types.Info, body *ast.BlockStmt) *FuncSummary {
 				if gc {
 					sum.MayGC = true
 				}
+			}
+			if isDirectCtxPoll(info, e) || passesContext(info, e) {
+				sum.MayPoll = true
 			}
 			if reason := blockingCall(info, e); reason != "" && !sum.MayBlock {
 				sum.MayBlock, sum.Blocks = true, reason

@@ -133,6 +133,24 @@ func cancelledBySibling(err error) bool {
 // return an error: the parent context's error when the run was cut
 // short, or the first engine failure otherwise.
 func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result, Report, error) {
+	return race(ctx, inst, engines, len(engines))
+}
+
+// SolveSequential is Solve with one engine in flight: engine i+1 starts
+// only after engine i returned without a definitive answer, so the
+// first definitive engine in slice order wins. Engines after the winner
+// never start and keep a name-only EngineReport. It gives tests a
+// deterministic winner and benchmarks a single-threaded race.
+func SolveSequential(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result, Report, error) {
+	return race(ctx, inst, engines, 1)
+}
+
+// race runs the portfolio with at most inFlight engines at a time,
+// starting them in slice order; a finished engine without a definitive
+// answer makes room for the next one until some engine wins. Engines
+// still start after the context is done: a small instance can be
+// solved outright before an engine first polls it.
+func race(ctx context.Context, inst *cnf.WCNF, engines []Engine, inFlight int) (maxsat.Result, Report, error) {
 	if len(engines) == 0 {
 		return maxsat.Result{}, Report{}, ErrNoEngines
 	}
@@ -150,65 +168,79 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 		err     error
 		elapsed time.Duration
 	}
-	type indexed struct {
-		index int
-		outcome
-	}
-	results := make(chan indexed, len(engines))
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for i, engine := range engines {
-		wg.Add(1)
-		span := parent.StartSpan("engine:" + engine.Name)
-		go func(index int, e Engine, copyInst *cnf.WCNF, span obs.Span) {
-			defer wg.Done()
-			engineCtx := runCtx
-			if telemetryOn {
-				engineCtx = obs.ContextWithEngineName(runCtx, e.Name)
-			}
-			if bus.Enabled() {
-				bus.Publish(obs.EngineStarted{Engine: e.Name})
-			}
-			t0 := time.Now()
-			res, err := solveIsolated(engineCtx, e.Solver, copyInst, bounds.ForEngine(e.Name))
-			if bus.Enabled() {
-				finished := obs.EngineFinished{
-					Engine:     e.Name,
-					Status:     res.Status.String(),
-					Cost:       res.Cost,
-					LowerBound: res.LowerBound,
-				}
-				if err != nil {
-					finished.Err = err.Error()
-				}
-				bus.Publish(finished)
-			}
-			recordEngineSpan(span, res, err)
-			results <- indexed{index: index, outcome: outcome{result: res, err: err, elapsed: time.Since(t0)}}
-		}(i, engine, inst.Clone(), span)
-	}
-
 	report := Report{Engines: make([]EngineReport, len(engines))}
 	for i, e := range engines {
 		report.Engines[i] = EngineReport{Name: e.Name}
 	}
+	outcomes := make([]*outcome, len(engines)) // nil: never started
+	start := time.Now()
 
-	outcomes := make([]*outcome, len(engines))
-	winner := -1
-	for received := 0; received < len(engines); received++ {
-		ind := <-results
-		out := ind.outcome
-		outcomes[ind.index] = &out
-		if out.err == nil && out.result.Status.Definitive() && winner < 0 {
-			winner = ind.index
-			report.Winner = engines[ind.index].Name
-			report.Elapsed = time.Since(start)
-			cancel() // stop the stragglers
+	run := func(e Engine) *outcome {
+		span := parent.StartSpan("engine:" + e.Name)
+		engineCtx := runCtx
+		if telemetryOn {
+			engineCtx = obs.ContextWithEngineName(runCtx, e.Name)
+		}
+		if bus.Enabled() {
+			bus.Publish(obs.EngineStarted{Engine: e.Name})
+		}
+		t0 := time.Now()
+		res, err := solveIsolated(engineCtx, e.Solver, inst.Clone(), bounds.ForEngine(e.Name))
+		if bus.Enabled() {
+			finished := obs.EngineFinished{
+				Engine:     e.Name,
+				Status:     res.Status.String(),
+				Cost:       res.Cost,
+				LowerBound: res.LowerBound,
+			}
+			if err != nil {
+				finished.Err = err.Error()
+			}
+			bus.Publish(finished)
+		}
+		recordEngineSpan(span, res, err)
+		return &outcome{result: res, err: err, elapsed: time.Since(t0)}
+	}
+
+	// Engines [0, workers) start unconditionally, one per worker
+	// goroutine. A worker whose engine ended without a definitive
+	// answer takes the next unstarted engine while nobody has won. The
+	// caller only waits: running worker 0 on it changes which engines
+	// the scheduler runs first, and on 2 vCPUs that slowed the
+	// benchmark's topk-deep median by a quarter.
+	workers := min(inFlight, len(engines))
+	var (
+		mu     sync.Mutex
+		next   = workers
+		winner = -1
+	)
+	worker := func(i int) {
+		for more := true; more; {
+			out := run(engines[i])
+			mu.Lock()
+			outcomes[i] = out
+			if winner < 0 && out.err == nil && out.result.Status.Definitive() {
+				winner = i
+				report.Winner = engines[i].Name
+				report.Elapsed = time.Since(start)
+				cancel() // stop the stragglers
+			}
+			if more = winner < 0 && next < len(engines); more {
+				i = next
+				next++
+			}
+			mu.Unlock()
 		}
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			worker(i)
+		}(i)
+	}
 	wg.Wait()
-	close(results)
 	report.Coop = bounds.Traffic()
 	if report.Elapsed == 0 {
 		report.Elapsed = time.Since(start)
@@ -219,6 +251,9 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 	parentDead := ctx.Err() != nil
 	var firstErr error
 	for i, out := range outcomes {
+		if out == nil {
+			continue // never started
+		}
 		rep := &report.Engines[i]
 		rep.Elapsed = out.elapsed
 		// Retag under the portfolio's registered name: standalone engines
@@ -262,7 +297,7 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 	// tightens the gap, possibly all the way to a cooperative Optimal.
 	best := -1
 	for i, out := range outcomes {
-		if out.err != nil || out.result.Status != maxsat.Feasible {
+		if out == nil || out.err != nil || out.result.Status != maxsat.Feasible {
 			continue
 		}
 		if best < 0 || out.result.Cost < outcomes[best].result.Cost {
@@ -351,82 +386,4 @@ func solveIsolated(ctx context.Context, s maxsat.Solver, inst *cnf.WCNF, prog ma
 		return ps.SolveWithProgress(ctx, inst, prog)
 	}
 	return s.Solve(ctx, inst)
-}
-
-// SolveSequential runs the engines one at a time in order and returns
-// the first definitive answer. It exists for deterministic tests and
-// single-threaded benchmarking of individual engines. Like Solve it
-// falls back to the best anytime incumbent when no engine finishes
-// definitively (e.g. under a deadline).
-func SolveSequential(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result, Report, error) {
-	if len(engines) == 0 {
-		return maxsat.Result{}, Report{}, ErrNoEngines
-	}
-	parent := obs.SpanFromContext(ctx)
-	report := Report{Engines: make([]EngineReport, len(engines))}
-	start := time.Now()
-	var firstErr error
-	best := maxsat.Result{Status: maxsat.Unknown}
-	bestEngine := ""
-	for i, engine := range engines {
-		report.Engines[i] = EngineReport{Name: engine.Name}
-		span := parent.StartSpan("engine:" + engine.Name)
-		t0 := time.Now()
-		res, err := engine.Solver.Solve(ctx, inst.Clone())
-		recordEngineSpan(span, res, err)
-		rep := &report.Engines[i]
-		rep.Elapsed = time.Since(t0)
-		res.Stats.TagEngine(engine.Name)
-		rep.Stats = res.Stats
-		rep.Status = res.Status
-		rep.Cost = res.Cost
-		rep.LowerBound = res.LowerBound
-		if res.LowerBound > best.LowerBound {
-			best.LowerBound = res.LowerBound
-		}
-		if err != nil {
-			rep.Err = err.Error()
-			if cancelledBySibling(err) && ctx.Err() != nil {
-				rep.Cancelled = true
-				rep.Err = "cancelled: parent context expired: " + rep.Err
-			} else if firstErr == nil {
-				firstErr = fmt.Errorf("portfolio: engine %s: %w", engine.Name, err)
-			}
-			continue
-		}
-		if res.Status.Definitive() {
-			rep.Completed = true
-			report.Winner = engine.Name
-			report.Elapsed = time.Since(start)
-			return res, report, nil
-		}
-		rep.Cancelled = ctx.Err() != nil
-		if rep.Cancelled {
-			rep.Err = "cancelled: parent context expired"
-		}
-		if res.Status == maxsat.Feasible && (best.Status != maxsat.Feasible || res.Cost < best.Cost) {
-			lb := best.LowerBound
-			best = res
-			if lb > best.LowerBound {
-				best.LowerBound = lb
-			}
-			bestEngine = engine.Name
-		}
-	}
-	report.Elapsed = time.Since(start)
-	if best.Status == maxsat.Feasible {
-		if best.LowerBound >= best.Cost {
-			best.LowerBound = best.Cost
-			best.Status = maxsat.Optimal
-		}
-		report.Winner = bestEngine
-		return best, report, nil
-	}
-	if firstErr != nil {
-		return maxsat.Result{LowerBound: best.LowerBound}, report, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return maxsat.Result{LowerBound: best.LowerBound}, report, fmt.Errorf("%w before cancellation (%w)", ErrNoAnswer, err)
-	}
-	return maxsat.Result{LowerBound: best.LowerBound}, report, fmt.Errorf("%w: no engine produced one", ErrNoAnswer)
 }

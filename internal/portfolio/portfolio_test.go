@@ -39,12 +39,21 @@ func TestSolveSmall(t *testing.T) {
 	}
 }
 
+// entryPoints are the two ways into the race: every engine at once,
+// and one engine in flight.
+var entryPoints = []struct {
+	name  string
+	solve func(context.Context, *cnf.WCNF, []Engine) (maxsat.Result, Report, error)
+}{
+	{"Solve", Solve},
+	{"SolveSequential", SolveSequential},
+}
+
 func TestSolveNoEngines(t *testing.T) {
-	if _, _, err := Solve(context.Background(), smallInstance(), nil); !errors.Is(err, ErrNoEngines) {
-		t.Errorf("got %v", err)
-	}
-	if _, _, err := SolveSequential(context.Background(), smallInstance(), nil); !errors.Is(err, ErrNoEngines) {
-		t.Errorf("sequential: got %v", err)
+	for _, ep := range entryPoints {
+		if _, _, err := ep.solve(context.Background(), smallInstance(), nil); !errors.Is(err, ErrNoEngines) {
+			t.Errorf("%s: got %v", ep.name, err)
+		}
 	}
 }
 
@@ -261,16 +270,18 @@ func TestSolveSurvivesPanickingEngine(t *testing.T) {
 		{Name: "panic", Solver: panicSolver{}},
 		{Name: "good", Solver: &maxsat.BranchBound{}},
 	}
-	res, report, err := Solve(context.Background(), smallInstance(), engines)
-	if err != nil {
-		t.Fatalf("portfolio should survive an engine panic: %v", err)
-	}
-	if res.Cost != 5 || report.Winner != "good" {
-		t.Errorf("cost %d winner %s", res.Cost, report.Winner)
-	}
-	for _, rep := range report.Engines {
-		if rep.Name == "panic" && !strings.Contains(rep.Err, "panicked") {
-			t.Errorf("panic engine report: %+v", rep)
+	for _, ep := range entryPoints {
+		res, report, err := ep.solve(context.Background(), smallInstance(), engines)
+		if err != nil {
+			t.Fatalf("%s should survive an engine panic: %v", ep.name, err)
+		}
+		if res.Cost != 5 || report.Winner != "good" {
+			t.Errorf("%s: cost %d winner %s", ep.name, res.Cost, report.Winner)
+		}
+		for _, rep := range report.Engines {
+			if rep.Name == "panic" && !strings.Contains(rep.Err, "panicked") {
+				t.Errorf("%s: panic engine report: %+v", ep.name, rep)
+			}
 		}
 	}
 }

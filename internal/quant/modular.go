@@ -1,10 +1,7 @@
 package quant
 
 import (
-	"fmt"
-	"sort"
-
-	"mpmcs4fta/internal/bdd"
+	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/ft"
 )
 
@@ -17,145 +14,25 @@ import (
 // a BDD. The per-module BDDs are far smaller than one monolithic BDD,
 // extending exact analysis to trees where TopEventProbability exhausts
 // its node budget — at equal results wherever both complete.
+//
+// The quotient trees are those of the MaxSAT path's decomposition plan,
+// with every module its own plan node.
 func ModularProbability(t *ft.Tree) (float64, error) {
-	if err := t.Validate(); err != nil {
-		return 0, err
-	}
-	modules, err := t.Modules()
+	plan, err := decomp.BuildPlan(t, decomp.Options{MinEvents: 1})
 	if err != nil {
 		return 0, err
 	}
-	isModule := make(map[string]bool, len(modules))
-	for _, id := range modules {
-		isModule[id] = true
-	}
-
-	// Process modules bottom-up: a module can only be evaluated after
-	// the modules nested inside it. Order by subtree depth.
-	depth := make(map[string]int)
-	var measure func(id string) int
-	measure = func(id string) int {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		depth[id] = 0 // cycle guard; tree is validated acyclic
-		g := t.Gate(id)
-		if g == nil {
-			depth[id] = 1
-			return 1
-		}
-		deepest := 0
-		for _, in := range g.Inputs {
-			if d := measure(in); d > deepest {
-				deepest = d
+	prob := make(map[string]float64, len(plan.Order))
+	for _, id := range plan.Order { // children before parents
+		node := plan.Nodes[id]
+		for _, c := range node.Children {
+			if err := node.Tree.SetProb(c, prob[c]); err != nil {
+				return 0, err
 			}
 		}
-		depth[id] = deepest + 1
-		return depth[id]
-	}
-	sort.Slice(modules, func(i, j int) bool { return measure(modules[i]) < measure(modules[j]) })
-
-	// moduleProb[g] is the exact probability of an already-solved
-	// module gate; when encountered during a later module's BDD build,
-	// it acts as an independent pseudo-event.
-	moduleProb := make(map[string]float64, len(modules))
-	for _, id := range modules {
-		p, err := moduleGateProbability(t, id, isModule, moduleProb)
-		if err != nil {
+		if prob[id], err = TopEventProbability(node.Tree); err != nil {
 			return 0, err
 		}
-		moduleProb[id] = p
 	}
-	top, ok := moduleProb[t.Top()]
-	if !ok {
-		// The top gate is always a module; reaching here means the
-		// module detection broke its contract.
-		return 0, fmt.Errorf("quant: top gate %q missing from module results", t.Top())
-	}
-	return top, nil
-}
-
-// moduleGateProbability computes P(gate) with a BDD over the module's
-// quotient structure: descendants that are themselves solved modules
-// become pseudo-events.
-func moduleGateProbability(t *ft.Tree, root string, isModule map[string]bool, moduleProb map[string]float64) (float64, error) {
-	// Collect quotient leaves (events and nested solved modules) in
-	// DFS order for the BDD variable ordering.
-	var (
-		order  []string
-		seen   = make(map[string]bool)
-		leaves = make(map[string]float64)
-	)
-	var collect func(id string, isRoot bool)
-	collect = func(id string, isRoot bool) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if !isRoot {
-			if p, solved := moduleProb[id]; solved {
-				order = append(order, id)
-				leaves[id] = p
-				return
-			}
-		}
-		if e := t.Event(id); e != nil {
-			order = append(order, id)
-			leaves[id] = e.Prob
-			return
-		}
-		for _, in := range t.Gate(id).Inputs {
-			collect(in, false)
-		}
-	}
-	collect(root, true)
-
-	m, err := bdd.NewManager(order)
-	if err != nil {
-		return 0, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := quotientBDD(t, m, root, leaves)
-	if err != nil {
-		return 0, err
-	}
-	return m.Probability(ref, leaves), nil
-}
-
-// quotientBDD builds the BDD of the gate function where every id in
-// leaves is a BDD variable.
-func quotientBDD(t *ft.Tree, m *bdd.Manager, root string, leaves map[string]float64) (bdd.Ref, error) {
-	memo := make(map[string]bdd.Ref)
-	var build func(id string, isRoot bool) (bdd.Ref, error)
-	build = func(id string, isRoot bool) (bdd.Ref, error) {
-		// The module root is always expanded as a gate; everything else
-		// that registered as a quotient leaf becomes a BDD variable.
-		if _, isLeaf := leaves[id]; isLeaf && !isRoot {
-			return m.Var(id)
-		}
-		if ref, ok := memo[id]; ok {
-			return ref, nil
-		}
-		g := t.Gate(id)
-		refs := make([]bdd.Ref, len(g.Inputs))
-		for i, in := range g.Inputs {
-			ref, err := build(in, false)
-			if err != nil {
-				return bdd.False, err
-			}
-			refs[i] = ref
-		}
-		var out bdd.Ref
-		switch g.Type {
-		case ft.GateAnd:
-			out = m.And(refs...)
-		case ft.GateOr:
-			out = m.Or(refs...)
-		case ft.GateVoting:
-			out = m.AtLeast(g.K, refs)
-		}
-		memo[id] = out
-		return out, nil
-	}
-	return build(root, true)
+	return prob[plan.Root], nil
 }

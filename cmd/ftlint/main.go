@@ -8,16 +8,10 @@
 // through the status.go table). It is the mechanical enforcement of
 // invariants previously restored by hand after incidents.
 //
-// Standalone over go package patterns:
+// Usage, over go package patterns:
 //
 //	ftlint ./...
-//	ftlint -json ./internal/sat ./internal/maxsat
-//	ftlint -c ctxpoll,weightsafe ./...
-//	ftlint -json -baseline testdata/lint/FINDINGS_baseline.json ./...
-//
-// or as a go vet tool (it speaks cmd/go's vet config protocol):
-//
-//	go vet -vettool=$(which ftlint) ./...
+//	ftlint -c ctxpoll,weightsafe ./internal/sat ./internal/maxsat
 //
 // Findings are suppressed with an auditable directive on or directly
 // above the offending line; the reason is mandatory, and a directive
@@ -26,25 +20,16 @@
 //
 //	//lint:ignore ctxpoll sift-down is bounded by the heap height
 //
-// With -baseline, findings are diffed against a checked-in snapshot:
-// only regressions (findings absent from the baseline) fail the run,
-// so a new analyzer can gate CI on "no new violations" while legacy
-// ones are burned down; resolved baseline entries are listed so the
-// snapshot can shrink.
-//
-// Exit codes (matching ftdiff's contract so CI and nightly jobs can
-// tell findings from breakage): 0 no unsuppressed findings (or, with
-// -baseline, no regressions), 1 findings reported, 2 usage or load
-// error.
+// Exit codes (matching ftdiff's contract so CI can tell findings from
+// breakage): 0 no unsuppressed findings, 1 findings reported, 2 usage
+// or load error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"mpmcs4fta/internal/lint"
@@ -55,32 +40,14 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// cmd/go probes vet tools with -V=full before handing them package
-	// configs; both must be answered before normal flag parsing.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Fprintf(stdout, "ftlint version v1\n")
-		return 0
-	}
-	// cmd/go also asks which analyzer flags the tool exposes; ftlint
-	// runs its full suite unconditionally in vettool mode.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetTool(args[0], stderr)
-	}
-
 	fs := flag.NewFlagSet("ftlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit machine-readable findings (schema mpmcs4fta-ftlint/v1) on stdout")
-		list     = fs.Bool("list", false, "list the analyzers and exit")
-		checks   = fs.String("c", "", "comma-separated subset of analyzers to run (default: all)")
-		baseline = fs.String("baseline", "", "diff findings against this checked-in report; only regressions fail")
+		list   = fs.Bool("list", false, "list the analyzers and exit")
+		checks = fs.String("c", "", "comma-separated subset of analyzers to run (default: all)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: ftlint [-json] [-list] [-c analyzer,...] [-baseline report.json] [packages]\n")
+		fmt.Fprintf(stderr, "usage: ftlint [-list] [-c analyzer,...] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -108,79 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings := lint.Run(fset, targets, all, analyzers)
-	relativizeFiles(findings)
-
-	failing := findings
-	if *baseline != "" {
-		base, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "ftlint:", err)
-			return 2
-		}
-		regressions, resolved := lint.DiffBaseline(base, findings)
-		for _, d := range resolved {
-			fmt.Fprintf(stderr, "ftlint: baseline entry resolved (remove it): [%s] %s: %s\n",
-				d.Analyzer, d.File, d.Message)
-		}
-		failing = regressions
-		if !*jsonOut {
-			findings = regressions
-		}
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "ftlint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range findings {
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if len(failing) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// relativizeFiles rewrites each finding's File to be relative to the
-// working directory when possible, so -json reports and baselines are
-// comparable across machines and checkouts.
-func relativizeFiles(findings []lint.Diagnostic) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return
-	}
-	for i := range findings {
-		if rel, err := filepath.Rel(wd, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			findings[i].File = rel
-		}
-	}
-}
-
-// runVetTool analyzes one package unit described by a cmd/go vet
-// config. Findings go to stderr in the compiler format cmd/go relays;
-// a nonzero exit marks the package as failing vet.
-func runVetTool(cfgPath string, stderr io.Writer) int {
-	cfg, fset, pkg, err := lint.LoadVetConfig(cfgPath)
-	if err != nil {
-		if cfg != nil && cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, "ftlint:", err)
-		return 1
-	}
-	if err := cfg.WriteVetx(); err != nil {
-		fmt.Fprintln(stderr, "ftlint:", err)
-		return 1
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	all := map[string]*lint.Package{pkg.Path: pkg}
-	findings := lint.Run(fset, []*lint.Package{pkg}, all, lint.Analyzers())
 	for _, d := range findings {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(findings) > 0 {
 		return 1
@@ -207,20 +103,4 @@ func selectAnalyzers(names string) ([]*lint.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// jsonReport is the -json document; the schema string versions it the
-// same way ftbench versions its benchmark artifacts.
-type jsonReport struct {
-	Schema   string            `json:"schema"`
-	Findings []lint.Diagnostic `json:"findings"`
-}
-
-func writeJSON(w io.Writer, findings []lint.Diagnostic) error {
-	if findings == nil {
-		findings = []lint.Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Schema: lint.ReportSchema, Findings: findings})
 }

@@ -2,10 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,16 +11,6 @@ const (
 	weightsGolden = "../../internal/lint/testdata/src/weights"
 	cleanPackage  = "../../internal/fp"
 )
-
-func TestVersionProbe(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &errOut); code != 0 {
-		t.Fatalf("-V=full exited %d, want 0 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "ftlint version") {
-		t.Errorf("-V=full output %q lacks a version banner", out.String())
-	}
-}
 
 func TestList(t *testing.T) {
 	var out, errOut bytes.Buffer
@@ -62,153 +48,19 @@ func TestCleanExitZero(t *testing.T) {
 	}
 }
 
-func TestJSONOutput(t *testing.T) {
-	var out, errOut bytes.Buffer
-	code := run([]string{"-json", "-c", "weightsafe", weightsGolden}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	var report struct {
-		Schema   string `json:"schema"`
-		Findings []struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if report.Schema != "mpmcs4fta-ftlint/v1" {
-		t.Errorf("schema = %q, want mpmcs4fta-ftlint/v1", report.Schema)
-	}
-	if len(report.Findings) == 0 {
-		t.Fatal("-json reported no findings on the weightsafe golden")
-	}
-	for _, f := range report.Findings {
-		if f.Analyzer != "weightsafe" || f.File == "" || f.Line == 0 || f.Message == "" {
-			t.Errorf("incomplete finding: %+v", f)
-		}
-	}
-}
-
-func TestJSONCleanIsEmptyArray(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-json", cleanPackage}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if !strings.Contains(out.String(), `"findings": []`) {
-		t.Errorf("clean -json output must carry an empty findings array, got:\n%s", out.String())
-	}
-}
-
-// TestBaselineGate drives the -baseline rollout mechanism end to end:
-// a report captured from one run fully covers the next (exit 0), an
-// empty baseline turns every finding into a regression (exit 1), and a
-// baseline entry that no longer fires is listed as resolved.
-func TestBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-
-	// Capture the golden's findings as the baseline.
-	var report, errOut bytes.Buffer
-	if code := run([]string{"-json", "-c", "weightsafe", weightsGolden}, &report, &errOut); code != 1 {
-		t.Fatalf("capture run exited %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	if err := os.WriteFile(baseline, report.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same findings against their own snapshot: no regressions, exit 0.
-	var out bytes.Buffer
-	errOut.Reset()
-	if code := run([]string{"-c", "weightsafe", "-baseline", baseline, weightsGolden}, &out, &errOut); code != 0 {
-		t.Fatalf("baseline-covered run exited %d, want 0 (stdout: %s, stderr: %s)",
-			code, out.String(), errOut.String())
-	}
-	if out.String() != "" {
-		t.Errorf("baseline-covered run printed findings:\n%s", out.String())
-	}
-
-	// An empty baseline gates on absolute cleanliness again: exit 1.
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"schema":"mpmcs4fta-ftlint/v1","findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-c", "weightsafe", "-baseline", empty, weightsGolden}, &out, &errOut); code != 1 {
-		t.Fatalf("empty-baseline run exited %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), "[weightsafe]") {
-		t.Errorf("regressions were not printed:\n%s", out.String())
-	}
-
-	// A clean package against the captured baseline: every entry is
-	// resolved, reported on stderr, exit 0.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-c", "weightsafe", "-baseline", baseline, cleanPackage}, &out, &errOut); code != 0 {
-		t.Fatalf("resolved-entries run exited %d, want 0 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "baseline entry resolved") {
-		t.Errorf("stderr lacks the resolved-entry notices:\n%s", errOut.String())
-	}
-
-	// An unreadable baseline is a usage error: exit 2.
-	if code := run([]string{"-baseline", filepath.Join(dir, "missing.json"), cleanPackage}, &out, &errOut); code != 2 {
-		t.Fatalf("missing-baseline run exited %d, want 2", code)
-	}
-}
-
 func TestUsageErrorsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-c", "nosuchanalyzer", cleanPackage},
 		{"./does/not/exist"},
 		{"-badflag"},
+		{"-json", cleanPackage},
+		{"-baseline", "x", cleanPackage},
+		{"-V=full"},
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
 			t.Errorf("run(%v) exited %d, want 2", args, code)
 		}
-	}
-}
-
-// TestVetToolProtocol builds the real binary and drives it through
-// cmd/go, proving the -vettool integration end to end: a clean package
-// passes, a golden full of violations fails with the findings relayed.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "ftlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	repoRoot, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/fp")
-	vet.Dir = repoRoot
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Errorf("go vet -vettool on a clean package failed: %v\n%s", err, out)
-	}
-
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./internal/lint/testdata/src/weights")
-	vet.Dir = repoRoot
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool on the weightsafe golden passed, want failure:\n%s", out)
-	}
-	if _, isExit := err.(*exec.ExitError); !isExit {
-		t.Fatalf("go vet did not run: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "unchecked") {
-		t.Errorf("go vet output lacks the relayed weightsafe findings:\n%s", out)
 	}
 }

@@ -6,8 +6,10 @@
 //
 // Usage:
 //
-//	wpms -input instance.wcnf [-engine portfolio|wmsu1|linear-su|branch-bound]
-//	     [-timeout 60s] [-quiet]
+//	wpms -input instance.wcnf [-engine portfolio|NAME] [-timeout 60s] [-quiet]
+//
+// NAME runs one member of portfolio.DefaultEngines on its own; the
+// -engine help lists them.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -39,10 +42,15 @@ func main() {
 // unsatisfiable, 10 satisfiable (anytime incumbent whose optimality
 // was not proven before the deadline).
 func run(args []string, stdout io.Writer) (int, error) {
+	engines := portfolio.DefaultEngines()
+	names := []string{"portfolio"}
+	for _, e := range engines {
+		names = append(names, e.Name)
+	}
 	fs := flag.NewFlagSet("wpms", flag.ContinueOnError)
 	var (
 		input   = fs.String("input", "", "WCNF instance file (required)")
-		engine  = fs.String("engine", "portfolio", "engine: portfolio, wmsu1, linear-su or branch-bound")
+		engine  = fs.String("engine", "portfolio", "engine: "+strings.Join(names, ", "))
 		timeout = fs.Duration("timeout", 0, "solve timeout (0 = none)")
 		quiet   = fs.Bool("quiet", false, "suppress the v (model) line")
 	)
@@ -82,15 +90,15 @@ func run(args []string, stdout io.Writer) (int, error) {
 	)
 	if *engine == "portfolio" {
 		var report portfolio.Report
-		res, report, err = portfolio.Solve(ctx, inst, portfolio.DefaultEngines())
+		res, report, err = portfolio.Solve(ctx, inst, engines)
 		winner = report.Winner
 	} else {
-		solver, serr := engineByName(*engine)
-		if serr != nil {
-			return 0, serr
+		i := slices.IndexFunc(engines, func(e portfolio.Engine) bool { return e.Name == *engine })
+		if i < 0 {
+			return 0, fmt.Errorf("unknown engine %q", *engine)
 		}
-		res, err = solver.Solve(ctx, inst)
-		winner = solver.Name()
+		res, err = engines[i].Solver.Solve(ctx, inst)
+		winner = engines[i].Name
 	}
 	if err != nil {
 		fmt.Fprintln(stdout, "s UNKNOWN")
@@ -118,19 +126,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		fmt.Fprintln(stdout, "s UNKNOWN")
 	}
 	return serve.WPMSExitCode(res.Status), nil
-}
-
-func engineByName(name string) (maxsat.Solver, error) {
-	switch name {
-	case "wmsu1":
-		return &maxsat.WMSU1{}, nil
-	case "linear-su":
-		return &maxsat.LinearSU{}, nil
-	case "branch-bound":
-		return &maxsat.BranchBound{}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
-	}
 }
 
 func modelLine(model []bool, numVars int) string {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpmcs4fta/internal/portfolio"
 )
 
 func writeWCNF(t *testing.T, content string) string {
@@ -29,7 +31,11 @@ const smallWCNF = `p wcnf 3 5 16
 
 func TestRunOptimum(t *testing.T) {
 	path := writeWCNF(t, smallWCNF)
-	for _, engine := range []string{"portfolio", "wmsu1", "linear-su", "branch-bound"} {
+	engines := []string{"portfolio"}
+	for _, e := range portfolio.DefaultEngines() {
+		engines = append(engines, e.Name)
+	}
+	for _, engine := range engines {
 		t.Run(engine, func(t *testing.T) {
 			var out bytes.Buffer
 			code, err := run([]string{"-input", path, "-engine", engine}, &out)

@@ -241,6 +241,23 @@ func (m *Manager) AtLeast(k int, fs []Ref) Ref {
 	return t(0, k)
 }
 
+// Compile builds a manager over order with DefaultNodeLimit installed
+// and compiles f in it: the one way the analysis packages turn a tree's
+// formula into a BDD. It returns ErrNodeLimit when the budget is
+// exhausted.
+func Compile(order []string, f boolexpr.Expr) (*Manager, Ref, error) {
+	m, err := NewManager(order)
+	if err != nil {
+		return nil, False, err
+	}
+	m.SetNodeLimit(DefaultNodeLimit)
+	ref, err := m.FromExpr(f)
+	if err != nil {
+		return nil, False, err
+	}
+	return m, ref, nil
+}
+
 // FromExpr compiles a Boolean expression. Every variable must be present
 // in the manager's order. It returns ErrNodeLimit when the node budget
 // is exhausted.

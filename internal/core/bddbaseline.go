@@ -71,12 +71,7 @@ func bddCutSets(tree *ft.Tree) (*bdd.Manager, bdd.ZRef, error) {
 	if err != nil {
 		return nil, bdd.ZEmpty, err
 	}
-	m, err := bdd.NewManager(tree.DFSEventOrder())
-	if err != nil {
-		return nil, bdd.ZEmpty, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(f)
+	m, ref, err := bdd.Compile(tree.DFSEventOrder(), f)
 	if err != nil {
 		return nil, bdd.ZEmpty, err
 	}

@@ -15,6 +15,7 @@ import (
 	"mpmcs4fta/internal/fp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/gen"
+	"mpmcs4fta/internal/maxsat"
 	"mpmcs4fta/internal/mcs"
 )
 
@@ -492,5 +493,23 @@ func TestAnalyzeVotingGateTree(t *testing.T) {
 	}
 	if math.Abs(sol.Probability-0.003) > 1e-12 {
 		t.Errorf("probability = %v", sol.Probability)
+	}
+}
+
+// TestAnalyzeStratifiedWinsPinnedTree keeps wmsu1-strat in the default
+// portfolio. The full race proves this tree optimal in well under a
+// second; without the stratified member it is still only FEASIBLE
+// when the 10 s budget runs out.
+func TestAnalyzeStratifiedWinsPinnedTree(t *testing.T) {
+	tree, err := gen.Random(gen.Config{Events: 879, VotingFrac: 0.1, Seed: 643176725})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Analyze(context.Background(), tree, Options{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != maxsat.Optimal.String() {
+		t.Errorf("status = %s, want %s", sol.Status, maxsat.Optimal)
 	}
 }

@@ -29,9 +29,6 @@ func runCtxPoll(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			loop, ok := n.(*ast.ForStmt)
 			if !ok || loop.Cond != nil {

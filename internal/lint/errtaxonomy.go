@@ -40,9 +40,6 @@ func runErrTaxonomy(pass *Pass) {
 	info := pass.Pkg.Info
 	serveScoped := pathEndsIn(pass.Pkg.Path, "serve")
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.BinaryExpr:

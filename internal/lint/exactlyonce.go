@@ -37,9 +37,6 @@ func runExactlyOnce(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

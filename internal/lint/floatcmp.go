@@ -28,9 +28,6 @@ func runFloatCmp(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			e, ok := n.(*ast.BinaryExpr)
 			if !ok || (e.Op != token.EQL && e.Op != token.NEQ) {

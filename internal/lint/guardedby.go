@@ -38,9 +38,6 @@ func runGuardedBy(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {

@@ -28,7 +28,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -53,13 +52,12 @@ type Pass struct {
 	Pkg *Package
 	// All maps import path to every module package loaded alongside
 	// Pkg (its module dependencies included), for interprocedural
-	// reasoning. In vettool mode only Pkg itself is present.
+	// reasoning.
 	All map[string]*Package
 	// Summaries holds the per-function interprocedural summaries
 	// (may-GC, may-block, may-poll, acquires) computed once per Run over
 	// All; ctxpoll and the second-generation analyzers consult it
-	// instead of re-walking the call graph. In vettool mode it covers the single package, so
-	// cross-package properties degrade to "unknown" (no finding).
+	// instead of re-walking the call graph.
 	Summaries *Summaries
 
 	diags *[]Diagnostic
@@ -78,15 +76,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Diagnostic struct {
 	// Analyzer names the check that fired ("ignore" for malformed
 	// suppression directives).
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Pos locates the finding.
-	Pos token.Position `json:"-"`
-	// File, Line and Col mirror Pos for JSON output.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	Pos token.Position
+	// File, Line and Col mirror Pos; the golden tests key on them.
+	File string
+	Line int
+	Col  int
 	// Message describes the violated invariant.
-	Message string `json:"message"`
+	Message string
 }
 
 // String formats the finding the way compilers do.
@@ -209,14 +207,4 @@ func lastSlash(s string) int {
 		}
 	}
 	return -1
-}
-
-// isTestFile reports whether the file was compiled from a _test.go
-// source. The standalone loader never sees test files (go list GoFiles
-// excludes them), but vettool mode analyses test variants too; the
-// suite deliberately skips them — tests may compare floats exactly
-// against goldens, spin bounded loops, and so on.
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	name := fset.Position(f.Pos()).Filename
-	return len(name) >= 8 && name[len(name)-8:] == "_test.go"
 }

@@ -71,10 +71,8 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, map[strin
 		}
 	}
 	imp := &moduleImporter{
-		fset:    fset,
-		source:  make(map[string]*types.Package),
-		gc:      newExportImporter(fset, exports),
-		exports: exports,
+		source: make(map[string]*types.Package),
+		gc:     newExportImporter(fset, exports),
 	}
 
 	all := make(map[string]*Package)
@@ -121,10 +119,7 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, map[strin
 func typeCheck(fset *token.FileSet, lp listedPackage, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
-		}
+		path := filepath.Join(lp.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", path, err)
@@ -165,10 +160,8 @@ func newTypesInfo() *types.Info {
 // moduleImporter resolves module packages from the already
 // source-checked set and everything else from export data.
 type moduleImporter struct {
-	fset    *token.FileSet
-	source  map[string]*types.Package
-	gc      types.Importer
-	exports map[string]string
+	source map[string]*types.Package
+	gc     types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -179,8 +172,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // newExportImporter returns a gc-export-data importer whose lookup is
-// driven by the import path -> export file map from go list (or, in
-// vettool mode, from the vet config).
+// driven by the import path -> export file map from go list.
 func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]

@@ -89,9 +89,6 @@ func runLockOrder(pass *Pass) {
 func scanPackageLocks(pass *Pass, pkg *Package, edge func(lockEdge)) {
 	report := pkg.Path == pass.Pkg.Path
 	for _, f := range pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -28,9 +28,6 @@ var SpanClose = &Analyzer{
 
 func runSpanClose(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch fn := n.(type) {
@@ -82,8 +79,10 @@ func (w *spanWalker) report(obj types.Object, exit token.Pos, what string) {
 	if p, ok := w.starts[obj]; ok {
 		pos = p
 	}
-	w.pass.Reportf(pos, "span %q %s (exit at %s); call End on every path or defer it",
-		obj.Name(), what, w.pass.Fset.Position(exit))
+	// The exit lies in the same function as the StartSpan, so its line
+	// alone locates it.
+	w.pass.Reportf(pos, "span %q %s (exit at line %d); call End on every path or defer it",
+		obj.Name(), what, w.pass.Fset.Position(exit).Line)
 }
 
 // leak reports every span still unended at a function exit.

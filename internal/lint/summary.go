@@ -43,14 +43,14 @@ type FuncSummary struct {
 }
 
 // Summaries indexes FuncSummary by the function's types.Object. The
-// zero value is usable and empty (vettool mode degrades to whatever the
-// single package shows; absent callees summarize as "does nothing").
+// zero value is usable and empty (absent callees summarize as "does
+// nothing").
 type Summaries struct {
 	funcs map[types.Object]*FuncSummary
 }
 
 // Of returns the summary for a callee object, or the empty summary when
-// the callee is unknown (stdlib, dynamic call, vettool mode).
+// the callee is unknown (stdlib, dynamic call).
 func (s *Summaries) Of(obj types.Object) FuncSummary {
 	if s == nil || obj == nil {
 		return FuncSummary{}

@@ -16,12 +16,12 @@ type tracer struct{}
 func (tracer) StartSpan(name string) span { return span{} }
 
 func leaks(tr tracer, n int64) {
-	sp := tr.StartSpan("work") // want "not ended on all paths"
+	sp := tr.StartSpan("work") // want "not ended on all paths \\(exit at line 21\\)"
 	sp.SetInt(n)
 }
 
 func leaksOnEarlyReturn(tr tracer, fail bool) error {
-	sp := tr.StartSpan("work") // want "not ended on all paths"
+	sp := tr.StartSpan("work") // want "not ended on all paths \\(exit at line 26\\)"
 	if fail {
 		return errors.New("failed") // exits without ending sp
 	}

@@ -34,9 +34,6 @@ var weightNamePattern = regexp.MustCompile(`(?i)weight|cost`)
 func runWeightSafe(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.BinaryExpr:

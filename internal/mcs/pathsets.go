@@ -3,7 +3,6 @@ package mcs
 import (
 	"fmt"
 
-	"mpmcs4fta/internal/bdd"
 	"mpmcs4fta/internal/boolexpr"
 	"mpmcs4fta/internal/ft"
 )
@@ -19,27 +18,7 @@ func PathSetsViaBDD(t *ft.Tree) ([]CutSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	dual := boolexpr.Dual(f)
-	m, err := bdd.NewManager(t.DFSEventOrder())
-	if err != nil {
-		return nil, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(dual)
-	if err != nil {
-		return nil, err
-	}
-	family, err := m.MinimalCutSets(ref)
-	if err != nil {
-		return nil, err
-	}
-	sets := m.ZSets(family)
-	out := make([]CutSet, len(sets))
-	for i, set := range sets {
-		out[i] = CutSet(set)
-	}
-	SortSets(out)
-	return out, nil
+	return minimalSets(t, boolexpr.Dual(f))
 }
 
 // IsPathSet reports whether keeping exactly the given events functional

@@ -2,6 +2,7 @@ package mcs
 
 import (
 	"mpmcs4fta/internal/bdd"
+	"mpmcs4fta/internal/boolexpr"
 	"mpmcs4fta/internal/ft"
 )
 
@@ -14,26 +15,7 @@ func ViaBDD(t *ft.Tree) ([]CutSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := bdd.NewManager(t.DFSEventOrder())
-	if err != nil {
-		return nil, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(f)
-	if err != nil {
-		return nil, err
-	}
-	family, err := m.MinimalCutSets(ref)
-	if err != nil {
-		return nil, err
-	}
-	sets := m.ZSets(family)
-	out := make([]CutSet, len(sets))
-	for i, set := range sets {
-		out[i] = CutSet(set)
-	}
-	SortSets(out)
-	return out, nil
+	return minimalSets(t, f)
 }
 
 // CountViaBDD returns the number of minimal cut sets without
@@ -44,18 +26,38 @@ func CountViaBDD(t *ft.Tree) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m, err := bdd.NewManager(t.DFSEventOrder())
-	if err != nil {
-		return 0, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(f)
-	if err != nil {
-		return 0, err
-	}
-	family, err := m.MinimalCutSets(ref)
+	m, family, err := minimalFamily(t, f)
 	if err != nil {
 		return 0, err
 	}
 	return m.ZCount(family), nil
+}
+
+// minimalFamily compiles f over the tree's depth-first event order and
+// returns the ZDD of its minimal cut sets.
+func minimalFamily(t *ft.Tree, f boolexpr.Expr) (*bdd.Manager, bdd.ZRef, error) {
+	m, ref, err := bdd.Compile(t.DFSEventOrder(), f)
+	if err != nil {
+		return nil, bdd.ZEmpty, err
+	}
+	family, err := m.MinimalCutSets(ref)
+	if err != nil {
+		return nil, bdd.ZEmpty, err
+	}
+	return m, family, nil
+}
+
+// minimalSets lists f's minimal cut sets in MOCUS order.
+func minimalSets(t *ft.Tree, f boolexpr.Expr) ([]CutSet, error) {
+	m, family, err := minimalFamily(t, f)
+	if err != nil {
+		return nil, err
+	}
+	sets := m.ZSets(family)
+	out := make([]CutSet, len(sets))
+	for i, set := range sets {
+		out[i] = CutSet(set)
+	}
+	SortSets(out)
+	return out, nil
 }

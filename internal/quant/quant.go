@@ -128,12 +128,7 @@ func buildBDD(t *ft.Tree) (*bdd.Manager, bdd.Ref, error) {
 	if err != nil {
 		return nil, bdd.False, err
 	}
-	m, err := bdd.NewManager(t.DFSEventOrder())
-	if err != nil {
-		return nil, bdd.False, err
-	}
-	m.SetNodeLimit(bdd.DefaultNodeLimit)
-	ref, err := m.FromExpr(f)
+	m, ref, err := bdd.Compile(t.DFSEventOrder(), f)
 	if err != nil {
 		return nil, bdd.False, fmt.Errorf("quant: build BDD: %w", err)
 	}

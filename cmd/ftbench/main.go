@@ -8,7 +8,6 @@
 //	ftbench -exp all
 //	ftbench -exp e4 -sizes 50,100,500,1000 -timeout 60s
 //	ftbench -exp e4 -trace spans.json -metrics - -obs-listen localhost:6060
-//	ftbench -fleet testdata/ -fleet-workers 8 -fleet-out fleet.json
 package main
 
 import (
@@ -92,25 +91,9 @@ func run(args []string, stdout io.Writer) (err error) {
 		metrics  = fs.String("metrics", "", "write a metrics snapshot in the /metrics Prometheus text format ('-' for stderr)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile covering the whole run")
 		obsAddr  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
-
-		fleet        = fs.String("fleet", "", "fleet mode: solve every .json/.txt tree in this directory (or file, or '-' for newline-separated paths on stdin) on one shared worker pool")
-		fleetWorkers = fs.Int("fleet-workers", 0, "fleet worker budget (0 = GOMAXPROCS)")
-		fleetOut     = fs.String("fleet-out", "", "write the fleet throughput report JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *fleet != "" {
-		var conflict string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "exp" || f.Name == "sizes" || f.Name == "list" {
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-fleet cannot be combined with -%s", conflict)
-		}
-		return runFleetMode(*fleet, *fleetWorkers, *fleetOut, *timeout, os.Stdin, stdout)
 	}
 	if *listFlag {
 		for _, e := range exps {

@@ -73,19 +73,24 @@ func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // substring of the error, when set
 	}{
-		{"unknown experiment", []string{"-exp", "e99"}},
-		{"unknown id in a list", []string{"-exp", "e1,e99"}},
-		{"no id", []string{"-exp", " , "}},
-		{"fleet with exp", []string{"-fleet", "../../testdata", "-exp", "e1"}},
-		{"bad size", []string{"-exp", "e4", "-sizes", "abc"}},
-		{"size too small", []string{"-exp", "e4", "-sizes", "1"}},
+		{"unknown experiment", []string{"-exp", "e99"}, ""},
+		{"unknown id in a list", []string{"-exp", "e1,e99"}, ""},
+		{"no id", []string{"-exp", " , "}, ""},
+		{"bad size", []string{"-exp", "e4", "-sizes", "abc"}, ""},
+		{"size too small", []string{"-exp", "e4", "-sizes", "1"}, ""},
+		{"no fleet mode", []string{"-fleet", "../../testdata"}, "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(tt.args, &out); err == nil {
-				t.Error("expected error")
+			err := run(tt.args, &out)
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error = %q, want it to contain %q", err, tt.want)
 			}
 		})
 	}

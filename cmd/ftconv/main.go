@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"mpmcs4fta"
+	"mpmcs4fta/internal/ft"
 )
 
 func main() {
@@ -45,7 +45,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-input is required")
 	}
 
-	tree, err := loadTree(*input, *from)
+	tree, err := ft.ReadFile(*input, *from)
 	if err != nil {
 		return err
 	}
@@ -99,27 +99,4 @@ func writeStats(w io.Writer, tree *mpmcs4fta.Tree) error {
 	fmt.Fprintf(tw, "modules\t%d\n", len(modules))
 	fmt.Fprintf(tw, "minimal cut sets\t%d\n", cutSets)
 	return tw.Flush()
-}
-
-func loadTree(path, format string) (*mpmcs4fta.Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if format == "" {
-		if strings.HasSuffix(path, ".json") {
-			format = "json"
-		} else {
-			format = "text"
-		}
-	}
-	switch format {
-	case "json":
-		return mpmcs4fta.LoadTreeJSON(f)
-	case "text":
-		return mpmcs4fta.LoadTreeText(f)
-	default:
-		return nil, fmt.Errorf("unknown input format %q", format)
-	}
 }

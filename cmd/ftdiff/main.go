@@ -155,14 +155,13 @@ func run(args []string, stdout io.Writer) (int, error) {
 // harness (BDD + quant oracles), raw WCNF instances the engine-level
 // agreement checks.
 func checkFile(ctx context.Context, path string, opts differ.Options) (*differ.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
+	switch strings.ToLower(filepath.Ext(path)) {
 	case ".wcnf":
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
 		inst, err := cnf.ReadWCNFAuto(f)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -174,12 +173,7 @@ func checkFile(ctx context.Context, path string, opts differ.Options) (*differ.R
 		rep.Name = path
 		return rep, nil
 	case ".json", ".txt":
-		var tree *ft.Tree
-		if ext == ".json" {
-			tree, err = ft.ReadJSON(f)
-		} else {
-			tree, err = ft.ReadText(f)
-		}
+		tree, err := ft.ReadFile(path, "")
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

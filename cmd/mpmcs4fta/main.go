@@ -9,7 +9,7 @@
 //
 //	mpmcs4fta -input tree.json [-format json|text] [-topk N] [-disjoint]
 //	          [-engine portfolio|bdd] [-sequential] [-timeout 30s] [-pg]
-//	          [-no-decompose] [-decompose-workers N]
+//	          [-no-decompose]
 //	          [-output out.json] [-dot out.dot] [-wcnf out.wcnf] [-report]
 //	          [-trace spans.json] [-metrics metrics.prom]
 //	          [-cpuprofile cpu.prof] [-obs-listen addr] [-obs-linger 30s]
@@ -26,10 +26,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"mpmcs4fta"
+	"mpmcs4fta/internal/core"
+	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/obs"
 	"mpmcs4fta/internal/serve"
 )
@@ -58,7 +59,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		engine     = fs.String("engine", "portfolio", "solving engine: portfolio or bdd")
 		sequential = fs.Bool("sequential", false, "run portfolio engines sequentially (deterministic)")
 		noDecomp   = fs.Bool("no-decompose", false, "disable modular decomposition: solve the tree as one monolithic MaxSAT instance")
-		decompWork = fs.Int("decompose-workers", 0, "worker budget for concurrent module sub-solves (0 = GOMAXPROCS)")
 		timeout    = fs.Duration("timeout", 0, "overall analysis timeout (0 = none)")
 		pg         = fs.Bool("pg", false, "use the Plaisted-Greenbaum CNF encoding")
 		wcnfFile   = fs.String("wcnf", "", "also export the Step-4 MaxSAT instance in DIMACS WCNF format")
@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		return serve.ExitUsage, fmt.Errorf("-topk must be positive")
 	}
 
-	tree, err := loadTree(*input, *format)
+	tree, err := ft.ReadFile(*input, *format)
 	if err != nil {
 		return serve.ExitUsage, err
 	}
@@ -94,7 +94,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		PlaistedGreenbaum: *pg,
 		Timeout:           *timeout,
 		NoDecompose:       *noDecomp,
-		DecomposeWorkers:  *decompWork,
 	}
 
 	var tracer *mpmcs4fta.JSONTracer
@@ -182,13 +181,7 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 	case errors.Is(err, mpmcs4fta.ErrNoCutSet):
 		// A definitive verdict about the tree: the top event cannot
 		// occur. Report it as an explicit empty-set document, exit 20.
-		solutions = []*mpmcs4fta.Solution{{
-			Tree:        tree.Name(),
-			Method:      "Weighted Partial MaxSAT",
-			MPMCS:       []mpmcs4fta.SolutionEvent{},
-			Probability: 0,
-			Status:      serve.StatusInfeasible,
-		}}
+		solutions = []*mpmcs4fta.Solution{core.InfeasibleSolution(tree)}
 		err = nil
 	case errors.Is(err, mpmcs4fta.ErrNoAnswer):
 		return serve.ExitNoAnswer, err
@@ -196,15 +189,12 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		return serve.ExitError, err
 	}
 	// FEASIBLE anywhere in the ranking means the run hit its budget:
-	// the documents are sound but possibly not optimally ranked.
+	// the documents are sound but possibly not optimally ranked. The
+	// statuses are OPTIMAL, FEASIBLE or a lone INFEASIBLE, so the
+	// largest exit code is the run's.
 	exitCode := serve.ExitOK
 	for _, sol := range solutions {
-		if sol.Status == serve.StatusFeasible {
-			exitCode = serve.ExitFeasible
-		}
-		if sol.Status == serve.StatusInfeasible {
-			exitCode = serve.ExitInfeasible
-		}
+		exitCode = max(exitCode, serve.ExitCode(sol.Status))
 	}
 
 	out := stdout
@@ -328,27 +318,4 @@ func writeMetrics(path string, m *mpmcs4fta.Metrics) error {
 		return fmt.Errorf("write metrics: %w", err)
 	}
 	return f.Close()
-}
-
-func loadTree(path, format string) (*mpmcs4fta.Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if format == "" {
-		if strings.HasSuffix(path, ".json") {
-			format = "json"
-		} else {
-			format = "text"
-		}
-	}
-	switch format {
-	case "json":
-		return mpmcs4fta.LoadTreeJSON(f)
-	case "text":
-		return mpmcs4fta.LoadTreeText(f)
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
 }

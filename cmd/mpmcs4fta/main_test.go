@@ -189,24 +189,29 @@ func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // substring of the error, when set
 	}{
-		{"missing input", []string{}},
-		{"nonexistent file", []string{"-input", "/does/not/exist"}},
-		{"bad tree", []string{"-input", bad}},
-		{"bad topk", []string{"-input", input, "-topk", "0"}},
-		{"bad engine", []string{"-input", input, "-engine", "quantum"}},
-		{"bdd with disjoint", []string{"-input", input, "-engine", "bdd", "-disjoint"}},
-		{"bad format", []string{"-input", input, "-format", "yaml"}},
+		{"missing input", []string{}, ""},
+		{"nonexistent file", []string{"-input", "/does/not/exist"}, ""},
+		{"bad tree", []string{"-input", bad}, ""},
+		{"bad topk", []string{"-input", input, "-topk", "0"}, ""},
+		{"bad engine", []string{"-input", input, "-engine", "quantum"}, ""},
+		{"bdd with disjoint", []string{"-input", input, "-engine", "bdd", "-disjoint"}, ""},
+		{"bad format", []string{"-input", input, "-format", "yaml"}, "unknown input format"},
+		{"no worker knob", []string{"-decompose-workers", "2", input}, "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var out bytes.Buffer
 			code, err := run(tt.args, &out)
 			if err == nil {
-				t.Error("expected error")
+				t.Fatal("expected error")
 			}
 			if code == 0 {
 				t.Errorf("exit code 0 for a failed run")
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("error = %q, want it to contain %q", err, tt.want)
 			}
 		})
 	}

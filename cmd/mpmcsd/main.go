@@ -8,7 +8,7 @@
 //
 //	mpmcsd [-listen :8357] [-workers N] [-default-timeout 30s]
 //	       [-max-timeout 5m] [-cache-entries 1024] [-sequential]
-//	       [-pg] [-no-decompose] [-decompose-workers N]
+//	       [-pg] [-no-decompose]
 //
 // Endpoints (see internal/serve for the request/response contract):
 //
@@ -51,7 +51,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 		sequential = fs.Bool("sequential", false, "run portfolio engines sequentially (deterministic)")
 		pg         = fs.Bool("pg", false, "use the Plaisted-Greenbaum CNF encoding")
 		noDecomp   = fs.Bool("no-decompose", false, "disable modular decomposition")
-		decompWork = fs.Int("decompose-workers", 0, "worker budget for module sub-solves (0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitUsage
@@ -66,7 +65,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 			Sequential:        *sequential,
 			PlaistedGreenbaum: *pg,
 			NoDecompose:       *noDecomp,
-			DecomposeWorkers:  *decompWork,
 		},
 	})
 	bound, err := s.Start(*listen)

@@ -67,8 +67,16 @@ func TestServeLifecycle(t *testing.T) {
 }
 
 func TestBadFlags(t *testing.T) {
-	var stderr bytes.Buffer
-	if code := run([]string{"-definitely-not-a-flag"}, &stderr, nil, nil); code != 2 {
-		t.Errorf("exit code %d, want 2 (usage)", code)
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-decompose-workers", "2"},
+	} {
+		var stderr bytes.Buffer
+		if code := run(args, &stderr, nil, nil); code != 2 {
+			t.Errorf("%v: exit code %d, want 2 (usage)", args, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr %q does not name the undefined flag", args, stderr.String())
+		}
 	}
 }

@@ -19,9 +19,9 @@ import (
 // Variables are ordered by depth-first traversal from the top event —
 // the standard fault-tree ordering heuristic: it keeps the events of
 // one subsystem adjacent, which the declared insertion order destroys
-// on generated workloads.
+// on generated workloads. No field of opts applies to the BDD engine;
+// it is taken for symmetry with Analyze.
 func AnalyzeBDD(tree *ft.Tree, opts Options) (*Solution, error) {
-	opts = opts.withDefaults()
 	start := time.Now()
 	m, cuts, err := bddCutSets(tree)
 	if err != nil {
@@ -31,7 +31,7 @@ func AnalyzeBDD(tree *ft.Tree, opts Options) (*Solution, error) {
 	if prob <= 0 {
 		return nil, ErrZeroProbability
 	}
-	return bddSolution(tree, m, LogWeights(tree.Events(), opts.Scale), bdd.RankedSet{Set: set, Prob: prob}, millisSince(start))
+	return bddSolution(tree, m, LogWeights(tree.Events(), DefaultScale), bdd.RankedSet{Set: set, Prob: prob}, millisSince(start))
 }
 
 // AnalyzeTopKBDD returns up to k minimal cut sets ranked by descending
@@ -43,7 +43,6 @@ func AnalyzeTopKBDD(tree *ft.Tree, k int, opts Options) ([]*Solution, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	opts = opts.withDefaults()
 	start := time.Now()
 	m, cuts, err := bddCutSets(tree)
 	if err != nil {
@@ -52,7 +51,7 @@ func AnalyzeTopKBDD(tree *ft.Tree, k int, opts Options) ([]*Solution, error) {
 	ranked := m.ZTopSets(cuts, tree.Probabilities(), k)
 	elapsed := millisSince(start)
 
-	weights := LogWeights(tree.Events(), opts.Scale)
+	weights := LogWeights(tree.Events(), DefaultScale)
 	out := make([]*Solution, 0, len(ranked))
 	for _, r := range ranked {
 		solution, err := bddSolution(tree, m, weights, r, elapsed)

@@ -73,8 +73,6 @@ type Options struct {
 	// with a definitive answer wins, which makes the winner
 	// deterministic for tests and per-engine benchmarking.
 	Sequential bool
-	// Scale overrides DefaultScale.
-	Scale float64
 	// PlaistedGreenbaum selects the polarity-aware CNF encoding in
 	// Step 2.
 	PlaistedGreenbaum bool
@@ -97,9 +95,6 @@ type Options struct {
 	// tree is solved as one monolithic WCNF instance even when it has
 	// independent modules (the --no-decompose CLI flag).
 	NoDecompose bool
-	// DecomposeWorkers sizes the shared scheduler pool for module
-	// sub-solves (≤0 selects GOMAXPROCS).
-	DecomposeWorkers int
 	// DecomposeMinEvents is the smallest module subtree worth its own
 	// sub-solve (≤0 selects decomp.DefaultMinEvents).
 	DecomposeMinEvents int
@@ -108,9 +103,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Engines == nil {
 		o.Engines = portfolio.DefaultEngines()
-	}
-	if fp.Zero(o.Scale) {
-		o.Scale = DefaultScale
 	}
 	return o
 }
@@ -194,7 +186,7 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 	}
 
 	sp = parent.StartSpan("weights")
-	weights := LogWeights(events, opts.Scale)
+	weights := LogWeights(events, DefaultScale)
 	if sp.Recording() {
 		sp.SetInt("events", int64(len(weights)))
 	}
@@ -464,7 +456,7 @@ func solveSpanned(ctx context.Context, inst *cnf.WCNF, opts Options, parent obs.
 // metrics.
 func decodeSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report, opts Options, parent obs.SpanStarter, start time.Time) (*Solution, error) {
 	sp := parent.StartSpan("decode")
-	solution, err := buildSolution(tree, steps, res, report, opts)
+	solution, err := buildSolution(tree, steps, res, report)
 	if err == nil && sp.Recording() {
 		sp.SetInt("cutSetSize", int64(len(solution.MPMCS)))
 		sp.SetFloat("probability", solution.Probability)
@@ -523,7 +515,7 @@ func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, elapsed time.Duration,
 // exactly like Optimal ones — the minimisation pass guarantees the
 // reported set is a genuine minimal cut set either way — but carry the
 // optimality gap translated back to log/probability space.
-func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report, opts Options) (*Solution, error) {
+func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfolio.Report) (*Solution, error) {
 	solution, err := newSolution(tree, steps.Weights, modelCutSet(tree, steps, res.Model), maxsatMethod)
 	if err != nil {
 		return nil, err
@@ -538,11 +530,11 @@ func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfo
 	}
 	if res.Status == maxsat.Feasible {
 		if gap := res.Gap(); gap > 0 {
-			solution.OptimalityGap = float64(gap) / opts.Scale
+			solution.OptimalityGap = float64(gap) / DefaultScale
 		}
 		// No cut set is cheaper than the proven lower bound, so none is
 		// more probable than exp(−lb/scale).
-		solution.ProbabilityUpperBound = math.Exp(-float64(res.LowerBound) / opts.Scale)
+		solution.ProbabilityUpperBound = math.Exp(-float64(res.LowerBound) / DefaultScale)
 	}
 	return solution, nil
 }
@@ -595,6 +587,19 @@ func newSolution(tree *ft.Tree, weights []EventWeight, set []string, method stri
 		Stats:       SolutionStats{Events: stats.Events, Gates: stats.Gates},
 		Weights:     weights,
 	}, nil
+}
+
+// InfeasibleSolution is the answer document for a tree whose top event
+// cannot occur (ErrNoCutSet): an explicit empty cut set with status
+// INFEASIBLE, so every surface reports the verdict as a well-formed
+// solution object rather than an error.
+func InfeasibleSolution(tree *ft.Tree) *Solution {
+	return &Solution{
+		Tree:   tree.Name(),
+		Method: maxsatMethod,
+		MPMCS:  []SolutionEvent{},
+		Status: maxsat.Infeasible.String(),
+	}
 }
 
 // modelCutSet reads the failed events off a MaxSAT model (falsified y

@@ -11,7 +11,6 @@ import (
 	"mpmcs4fta/internal/maxsat"
 	"mpmcs4fta/internal/obs"
 	"mpmcs4fta/internal/portfolio"
-	"mpmcs4fta/internal/sched"
 )
 
 // decompositionPlan returns the non-trivial plan Analyze should route
@@ -38,14 +37,10 @@ func decompositionPlan(tree *ft.Tree, opts Options) *decomp.Plan {
 // recombined into one Solution over the original tree. It also returns
 // the portfolio report of every module race that produced a model.
 func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, opts Options, parent obs.SpanStarter) (*Solution, []portfolio.Report, error) {
-	pool := sched.New(opts.DecomposeWorkers)
-	defer pool.Close()
-
 	sp := parent.StartSpan("decompose")
 	defer sp.End()
 	if sp.Recording() {
 		sp.SetInt("modules", int64(len(plan.Nodes)))
-		sp.SetInt("workers", int64(pool.Workers()))
 	}
 
 	var (
@@ -99,20 +94,20 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 		sol.Optimal = res.Status == maxsat.Optimal
 		if res.Status == maxsat.Feasible {
 			if gap := res.Gap(); gap > 0 {
-				sol.GapLog = float64(gap) / opts.Scale
+				sol.GapLog = float64(gap) / DefaultScale
 			}
 		}
 		return sol, nil
 	}
 
-	outcome, err := decomp.Execute(ctx, plan, solveNode, decomp.ExecOptions{Pool: pool, Bus: opts.Bus})
+	outcome, err := decomp.Execute(ctx, plan, solveNode, decomp.ExecOptions{Bus: opts.Bus})
 	if err != nil {
 		return nil, nil, err
 	}
 	if outcome.Impossible {
 		return nil, nil, ErrNoCutSet
 	}
-	solution, err := composeSolution(tree, plan, outcome, opts)
+	solution, err := composeSolution(tree, plan, outcome)
 	return solution, races, err
 }
 
@@ -121,8 +116,8 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 // instance sizes and solver counters are aggregated, and the composed
 // optimality verdict (all-modules-optimal, summed gap) is translated
 // to the same Status/gap fields the monolithic path reports.
-func composeSolution(tree *ft.Tree, plan *decomp.Plan, outcome *decomp.Outcome, opts Options) (*Solution, error) {
-	solution, err := newSolution(tree, LogWeights(tree.Events(), opts.Scale), outcome.CutSet, maxsatMethod)
+func composeSolution(tree *ft.Tree, plan *decomp.Plan, outcome *decomp.Outcome) (*Solution, error) {
+	solution, err := newSolution(tree, LogWeights(tree.Events(), DefaultScale), outcome.CutSet, maxsatMethod)
 	if err != nil {
 		return nil, err
 	}

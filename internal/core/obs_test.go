@@ -271,3 +271,26 @@ drain:
 		}
 	}
 }
+
+// TestNopTracerGuard pins what the disabled tracing path rests on: an
+// unset Options.Tracer resolves to obs.Nop(), and a no-op span's whole
+// lifecycle allocates nothing, so untraced analyses pay no tracing
+// cost.
+func TestNopTracerGuard(t *testing.T) {
+	tracer := Options{}.tracer()
+	if tracer != obs.Nop() {
+		t.Fatalf("Options{}.tracer() = %#v, want obs.Nop()", tracer)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		root := tracer.StartSpan("analyze")
+		sp := root.StartSpan("encode")
+		sp.SetInt("vars", 7)
+		sp.SetFloat("ms", 1.5)
+		sp.SetString("engine", "wmsu1")
+		sp.SetBool("optimal", true)
+		sp.End()
+		root.End()
+	}); n != 0 {
+		t.Errorf("no-op span lifecycle allocates %.1f times, want 0", n)
+	}
+}

@@ -41,7 +41,7 @@ func (a *Analyzer) Analyze(ctx context.Context, overrides map[string]float64) (*
 			return nil, err
 		}
 	}
-	weights := LogWeights(working.Events(), a.opts.Scale)
+	weights := LogWeights(working.Events(), DefaultScale)
 	steps := &Steps{Encoding: a.enc, Weights: weights, Instance: wpmsInstance(a.enc, weights)}
 
 	ctx, cancel := a.opts.withTimeout(ctx)

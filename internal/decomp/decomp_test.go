@@ -14,7 +14,6 @@ import (
 	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/obs"
-	"mpmcs4fta/internal/sched"
 )
 
 // modularTree builds: top = OR(m1, m2, e0) with m1 = AND(e1..e4) and
@@ -354,17 +353,15 @@ func TestExecuteCancellationNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := sched.New(2)
 	solver := func(ctx context.Context, node *decomp.PlanNode) (decomp.ModuleSolution, error) {
 		<-ctx.Done() // a solve that only ends when cancelled
 		return decomp.ModuleSolution{}, ctx.Err()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := decomp.Execute(ctx, plan, solver, decomp.ExecOptions{Pool: pool}); err == nil {
+	if _, err := decomp.Execute(ctx, plan, solver, decomp.ExecOptions{}); err == nil {
 		t.Fatal("Execute succeeded with a never-finishing solver")
 	}
-	pool.Close()
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {

@@ -47,15 +47,14 @@ type Solver func(ctx context.Context, node *PlanNode) (ModuleSolution, error)
 
 // ExecOptions configures plan execution.
 type ExecOptions struct {
-	// Pool runs the node solves; nil creates a GOMAXPROCS-sized pool
-	// for the duration of the call.
-	Pool *sched.Pool
 	// Bus receives ModuleStarted/ModuleFinished events (nil = off).
 	Bus *obs.EventBus
-	// Floor is the minimum deadline slice carved for one node when the
-	// parent context has a deadline; 0 selects a small default.
-	Floor time.Duration
 }
+
+// nodeFloor is the minimum deadline slice carved for one node when the
+// parent context has a deadline, so a node scheduled late still gets a
+// workable slice (the parent deadline still caps it).
+const nodeFloor = 50 * time.Millisecond
 
 // Outcome is the recombined result of a plan execution.
 type Outcome struct {
@@ -119,13 +118,13 @@ type nodeDone struct {
 	err error
 }
 
-// Execute runs the plan: leaves go to the pool first, each completed
-// module substitutes its probability into the parent quotient, and a
-// node is submitted once all of its children are solved. Deadline
-// budget is carved per node from the parent context in proportion to
-// the node's share of the not-yet-solved events, so an overall
-// --timeout is split across sub-solves instead of letting the first
-// one starve the rest. The first node error cancels the remaining
+// Execute runs the plan on a GOMAXPROCS-sized worker pool that lives
+// for the call: leaves go to the pool first, each completed module
+// substitutes its probability into the parent quotient, and a node is
+// submitted once all of its children are solved. Deadline budget is
+// carved per node from the parent context in proportion to the node's
+// share of the not-yet-solved events, so an overall --timeout is split
+// across sub-solves instead of letting the first one starve the rest. The first node error cancels the remaining
 // plan; already-queued nodes still drain (observing the dead context)
 // so Execute never strands pool workers.
 //
@@ -137,15 +136,8 @@ func Execute(ctx context.Context, plan *Plan, solve Solver, opts ExecOptions) (*
 	if plan == nil || len(plan.Nodes) == 0 {
 		return nil, fmt.Errorf("decomp: empty plan")
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = sched.New(0)
-		defer pool.Close()
-	}
-	floor := opts.Floor
-	if floor <= 0 {
-		floor = 50 * time.Millisecond
-	}
+	pool := sched.New(0)
+	defer pool.Close()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -163,7 +155,7 @@ func Execute(ctx context.Context, plan *Plan, solve Solver, opts ExecOptions) (*
 				return
 			}
 			node := plan.Nodes[nodeID]
-			nodeCtx, nodeCancel := sched.Carve(poolCtx, share, floor)
+			nodeCtx, nodeCancel := sched.Carve(poolCtx, share, nodeFloor)
 			defer nodeCancel()
 
 			bus := opts.Bus

@@ -105,13 +105,11 @@ const ProbTolerance = 1e-9
 const DecomposeTolerance = 1e-6
 
 // Options configures a differential check. The zero value selects the
-// full default portfolio, the default weight scale and no top-k pass.
+// full default portfolio and no top-k pass.
 type Options struct {
 	// Engines are the portfolio members to cross-check; nil selects
 	// portfolio.DefaultEngines().
 	Engines []portfolio.Engine
-	// Scale overrides core.DefaultScale for the Step-3 weight transform.
-	Scale float64
 	// PlaistedGreenbaum selects the polarity-aware Step-2 encoding.
 	PlaistedGreenbaum bool
 	// TopK, when positive, additionally cross-checks the first TopK
@@ -125,9 +123,6 @@ func (o Options) withDefaults() Options {
 	if o.Engines == nil {
 		o.Engines = portfolio.DefaultEngines()
 	}
-	if fp.Zero(o.Scale) {
-		o.Scale = core.DefaultScale
-	}
 	return o
 }
 
@@ -135,7 +130,6 @@ func (o Options) coreOptions() core.Options {
 	return core.Options{
 		Engines:           o.Engines,
 		Sequential:        true,
-		Scale:             o.Scale,
 		PlaistedGreenbaum: o.PlaistedGreenbaum,
 	}
 }

@@ -2,6 +2,9 @@ package ft
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -225,5 +228,47 @@ func assertSameTree(t *testing.T, a, b *Tree) {
 				t.Errorf("gate %s input %d: %q vs %q", g.ID, i, g.Inputs[i], other.Inputs[i])
 			}
 		}
+	}
+}
+
+// TestReadFileFormats: "" picks the format by extension (JSON for any
+// case of .json, text otherwise); "json" and "text" override it.
+func TestReadFileFormats(t *testing.T) {
+	tree := buildFPS(t)
+	var js, txt bytes.Buffer
+	if err := tree.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.WriteText(&txt); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	jsonPath := write("fps.JSON", js.Bytes())
+	textPath := write("fps.txt", txt.Bytes())
+	jsonDat := write("fps.dat", js.Bytes())
+	for _, tt := range []struct{ path, format string }{
+		{jsonPath, ""}, {textPath, ""}, {jsonDat, "json"}, {textPath, "text"},
+	} {
+		back, err := ReadFile(tt.path, tt.format)
+		if err != nil {
+			t.Fatalf("ReadFile(%s, %q): %v", filepath.Base(tt.path), tt.format, err)
+		}
+		assertSameTree(t, tree, back)
+	}
+	if _, err := ReadFile(jsonDat, ""); err == nil {
+		t.Error("JSON under a non-.json name parsed as text")
+	}
+	if _, err := ReadFile(jsonPath, "yaml"); err == nil || !strings.Contains(err.Error(), `unknown input format "yaml"`) {
+		t.Errorf("unknown format: err = %v", err)
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing.json"), ""); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }

@@ -26,7 +26,7 @@ type Telemetry struct {
 	// clause.
 	LearntLen *obs.Histogram
 	// TrailDepth, when set, records the assignment-trail depth at each
-	// heartbeat.
+	// heartbeat interval, whether or not a bus is attached.
 	TrailDepth *obs.Histogram
 }
 
@@ -37,12 +37,12 @@ func (s *Solver) SetTelemetry(t *Telemetry) {
 	s.lastBeat = time.Time{}
 }
 
-// maybeHeartbeat publishes a Heartbeat if telemetry is on and the
-// rate-limit interval has passed. Called only at the search loop's
-// poll boundaries.
+// maybeHeartbeat samples the trail depth and publishes a Heartbeat if
+// telemetry is on and the rate-limit interval has passed. Called only
+// at the search loop's poll boundaries.
 func (s *Solver) maybeHeartbeat() {
 	t := s.tel
-	if t == nil || !t.Bus.Enabled() {
+	if t == nil {
 		return
 	}
 	every := t.HeartbeatEvery
@@ -61,6 +61,9 @@ func (s *Solver) maybeHeartbeat() {
 	}
 	s.lastBeat = now
 	t.TrailDepth.Observe(float64(len(s.trail)))
+	if !t.Bus.Enabled() {
+		return
+	}
 	t.Bus.Publish(obs.Heartbeat{
 		Engine:       t.Engine,
 		Conflicts:    s.stats.Conflicts,

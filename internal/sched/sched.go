@@ -1,9 +1,9 @@
 // Package sched provides the shared-budget batch scheduler underneath
-// every multi-solve workload: a fixed pool of workers executes submitted
-// tasks concurrently, so one worker budget covers a whole decomposition
-// plan (internal/decomp), a fleet of instances (ftbench -fleet), or any
-// future batch consumer — throughput is bounded by the budget the
-// caller chose, never by how many tasks arrive.
+// both multi-solve workloads: a fixed pool of workers executes
+// submitted tasks concurrently, so one worker budget covers a whole
+// decomposition plan (internal/decomp) or the request stream of the
+// analysis service (internal/serve) — throughput is bounded by the
+// pool size, never by how many tasks arrive.
 //
 // The pool is deliberately small in concept: Submit enqueues a task and
 // applies backpressure when every worker is busy and the queue is full;
@@ -15,8 +15,8 @@
 //
 // Deadline budgeting is a separate, composable concern: Carve derives a
 // child context holding a share of the parent's remaining time, the
-// mechanism by which a plan node or a fleet instance gets a bounded
-// slice of the overall budget instead of starving its siblings.
+// mechanism by which a plan node gets a bounded slice of the overall
+// budget instead of starving its siblings.
 package sched
 
 import (

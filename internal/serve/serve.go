@@ -258,9 +258,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) 
 
 	resCh := make(chan *Document, 1)
 	submitted := s.pool.Submit(reqCtx, func(taskCtx context.Context) {
-		solveCtx, done := sched.Carve(taskCtx, 1, 0)
-		defer done()
-		resCh <- s.runAnalysis(solveCtx, tree, hash, k, topk, bus)
+		resCh <- s.runAnalysis(taskCtx, tree, hash, k, topk, bus)
 	})
 	if submitted != nil {
 		if errors.Is(submitted, sched.ErrClosed) {
@@ -373,7 +371,7 @@ func (s *Server) runAnalysis(ctx context.Context, tree *ft.Tree, hash string, k 
 	switch {
 	case errors.Is(err, core.ErrNoCutSet):
 		doc.Status = StatusInfeasible
-		doc.Solution = mustJSON(emptySolution(tree))
+		doc.Solution = mustJSON(core.InfeasibleSolution(tree))
 	case err != nil:
 		return errorDocument(doc, err)
 	default:
@@ -392,19 +390,6 @@ func errorDocument(doc *Document, err error) *Document {
 	}
 	doc.Error = err.Error()
 	return doc
-}
-
-// emptySolution is the INFEASIBLE answer document: the explicit
-// empty-cut-set solution ("the top event cannot occur"), so clients
-// always receive a well-formed solution object.
-func emptySolution(tree *ft.Tree) *core.Solution {
-	return &core.Solution{
-		Tree:        tree.Name(),
-		Method:      "Weighted Partial MaxSAT",
-		MPMCS:       []core.SolutionEvent{},
-		Probability: 0,
-		Status:      StatusInfeasible,
-	}
 }
 
 // handleLookup serves GET /v1/solutions/{hash}: a pure cache probe —

@@ -59,7 +59,7 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		engine     = fs.String("engine", "portfolio", "solving engine: portfolio or bdd")
 		sequential = fs.Bool("sequential", false, "run portfolio engines sequentially (deterministic)")
 		noDecomp   = fs.Bool("no-decompose", false, "disable modular decomposition: solve the tree as one monolithic MaxSAT instance")
-		timeout    = fs.Duration("timeout", 0, "overall analysis timeout (0 = none)")
+		timeout    = fs.Duration("timeout", 0, "overall analysis timeout (0 = none; -engine portfolio only)")
 		pg         = fs.Bool("pg", false, "use the Plaisted-Greenbaum CNF encoding")
 		wcnfFile   = fs.String("wcnf", "", "also export the Step-4 MaxSAT instance in DIMACS WCNF format")
 		report     = fs.Bool("report", false, "emit a full FTA report (P(top), SPOFs, cut-set count, importance measures) around the solution")
@@ -172,6 +172,11 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 	case "bdd":
 		if *disjoint {
 			return serve.ExitUsage, fmt.Errorf("-disjoint requires -engine portfolio")
+		}
+		if *timeout > 0 {
+			// The BDD compiler takes no context, so a deadline would
+			// go unenforced.
+			return serve.ExitUsage, fmt.Errorf("-timeout requires -engine portfolio")
 		}
 		solutions, err = mpmcs4fta.AnalyzeTopKBDD(tree, *topK, opts)
 	default:

@@ -197,6 +197,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad topk", []string{"-input", input, "-topk", "0"}, ""},
 		{"bad engine", []string{"-input", input, "-engine", "quantum"}, ""},
 		{"bdd with disjoint", []string{"-input", input, "-engine", "bdd", "-disjoint"}, ""},
+		{"bdd with timeout", []string{"-input", input, "-engine", "bdd", "-timeout", "1ms"}, "-timeout requires -engine portfolio"},
 		{"bad format", []string{"-input", input, "-format", "yaml"}, "unknown input format"},
 		{"no worker knob", []string{"-decompose-workers", "2", input}, "flag provided but not defined"},
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -102,6 +103,12 @@ func analyzeDecomposed(ctx context.Context, tree *ft.Tree, plan *decomp.Plan, op
 
 	outcome, err := decomp.Execute(ctx, plan, solveNode, decomp.ExecOptions{Bus: opts.Bus})
 	if err != nil {
+		if !errors.Is(err, ErrNoAnswer) && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			// The plan stopped on the dead context: a module was
+			// refused at submit or dequeued after expiry. That is a
+			// deadline with no answer, not an internal failure.
+			err = fmt.Errorf("%w (%w)", ErrNoAnswer, err)
+		}
 		return nil, nil, err
 	}
 	if outcome.Impossible {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/obs"
@@ -212,5 +214,20 @@ func TestAnalyzeDecomposedImpossibleModule(t *testing.T) {
 	blocked.SetTop("top")
 	if _, err := Analyze(context.Background(), blocked, Options{Sequential: true, DecomposeMinEvents: 2}); err != ErrNoCutSet {
 		t.Fatalf("blocked tree error = %v, want ErrNoCutSet", err)
+	}
+}
+
+// A deadline that expires before the plan's modules run must surface as
+// ErrNoAnswer (NO_ANSWER, exit 4, HTTP 504), not as the internal failure
+// "decomp: submit module …: context deadline exceeded".
+func TestAnalyzeDecomposedDeadlineIsNoAnswer(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := Analyze(ctx, fourModuleTree(t), Options{Sequential: true, DecomposeMinEvents: 2})
+	if !errors.Is(err, ErrNoAnswer) {
+		t.Fatalf("got %v, want ErrNoAnswer", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("got %v, want it to wrap context.DeadlineExceeded", err)
 	}
 }

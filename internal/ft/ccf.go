@@ -93,6 +93,7 @@ func (t *Tree) replaceEventWithGate(id string, typ GateType, inputs ...string) e
 	in := make([]string, len(inputs))
 	copy(in, inputs)
 	t.gates[id] = &Gate{ID: id, Type: typ, Inputs: in}
+	t.valid.Store(false)
 	// Insertion order already contains id; the node merely changed kind.
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // GateType enumerates the supported gate kinds.
@@ -65,6 +66,10 @@ type Tree struct {
 	events map[string]*BasicEvent
 	gates  map[string]*Gate
 	order  []string // ids in insertion order, for deterministic iteration
+	// valid records a successful Validate; every structural mutator
+	// clears it. Atomic because analyses validate one tree from many
+	// goroutines.
+	valid atomic.Bool
 }
 
 // Sentinel errors returned by tree construction and validation.
@@ -100,7 +105,10 @@ func (t *Tree) Top() string { return t.top }
 
 // SetTop designates the top node. The node may be added later; Validate
 // checks that it exists.
-func (t *Tree) SetTop(id string) { t.top = id }
+func (t *Tree) SetTop(id string) {
+	t.top = id
+	t.valid.Store(false)
+}
 
 // AddEvent adds a basic event with the given failure probability.
 func (t *Tree) AddEvent(id string, prob float64) error {
@@ -117,6 +125,7 @@ func (t *Tree) AddEventDesc(id, desc string, prob float64) error {
 	}
 	t.events[id] = &BasicEvent{ID: id, Description: desc, Prob: prob}
 	t.order = append(t.order, id)
+	t.valid.Store(false)
 	return nil
 }
 
@@ -162,6 +171,7 @@ func (t *Tree) addGate(id, desc string, typ GateType, k int, inputs []string) er
 	copy(in, inputs)
 	t.gates[id] = &Gate{ID: id, Description: desc, Type: typ, K: k, Inputs: in}
 	t.order = append(t.order, id)
+	t.valid.Store(false)
 	return nil
 }
 
@@ -244,8 +254,21 @@ func (t *Tree) SetProb(id string, prob float64) error {
 
 // Validate checks structural well-formedness: the top node is set, is a
 // gate, every gate input references an existing node, and the gate graph
-// is acyclic. It returns the first problem found.
+// is acyclic. It returns the first problem found. A success is
+// remembered until the next AddEvent, AddGate or SetTop, so repeated
+// calls on an unchanged tree are cheap.
 func (t *Tree) Validate() error {
+	if t.valid.Load() {
+		return nil
+	}
+	if err := t.validate(); err != nil {
+		return err
+	}
+	t.valid.Store(true)
+	return nil
+}
+
+func (t *Tree) validate() error {
 	if t.top == "" {
 		return ErrNoTop
 	}
@@ -359,6 +382,7 @@ func (t *Tree) evalNode(id string, failed map[string]bool, memo map[string]bool)
 func (t *Tree) Clone() *Tree {
 	out := New(t.name)
 	out.top = t.top
+	out.valid.Store(t.valid.Load())
 	out.order = append([]string(nil), t.order...)
 	for id, e := range t.events {
 		copied := *e

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -172,6 +173,54 @@ func TestValidateErrors(t *testing.T) {
 		if err := tree.Validate(); !errors.Is(err, ErrCycle) {
 			t.Errorf("got %v", err)
 		}
+	})
+}
+
+// Validate remembers a success, so every mutator that can break the
+// tree must make the next Validate check it again.
+func TestValidateAfterMutation(t *testing.T) {
+	t.Run("gate with unknown input", func(t *testing.T) {
+		tree := buildFPS(t)
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.AddOr("g", "x1", "ghost"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Validate(); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("after adding a dangling gate: got %v, want ErrUnknownNode", err)
+		}
+		// Adding the missing node repairs the tree.
+		if err := tree.AddEvent("ghost", 0.1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Errorf("after adding the missing event: %v", err)
+		}
+	})
+	t.Run("top set to an event", func(t *testing.T) {
+		tree := buildFPS(t)
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		tree.SetTop("x1")
+		if err := tree.Validate(); !errors.Is(err, ErrTopIsEvent) {
+			t.Errorf("after SetTop on an event: got %v, want ErrTopIsEvent", err)
+		}
+	})
+	t.Run("concurrent validation", func(t *testing.T) {
+		tree := buildFPS(t)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := tree.Validate(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
 	})
 }
 

@@ -80,7 +80,8 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
-	*t = *rebuilt
+	t.name, t.top, t.events, t.gates, t.order = rebuilt.name, rebuilt.top, rebuilt.events, rebuilt.gates, rebuilt.order
+	t.valid.Store(false)
 	return nil
 }
 

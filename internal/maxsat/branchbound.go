@@ -18,6 +18,17 @@ import (
 // makes it a usefully different portfolio member — strong on small and
 // highly-constrained instances, weak on large under-constrained ones.
 //
+// Propagation is counter-based. Each literal lists the clauses it
+// occurs in, each clause counts its literal occurrences assigned true
+// and false, and one assignment routine — taken by decisions and
+// implied literals alike — updates the counters, the trail, a queue of
+// hard clauses that became unit or falsified, and the running weight
+// of falsified soft clauses. An assignment costs time proportional to
+// its variable's occurrences, not to the instance size. The queue
+// yields the lowest-indexed pending clause first, the order of a scan
+// from clause 0, so the search tree and its Decisions, Conflicts and
+// Propagations counts do not depend on how the kernel is organised.
+//
 // Run cooperatively (SolveWithProgress), the engine also prunes against
 // the global incumbent published by sibling engines and publishes its
 // own improving models.
@@ -36,6 +47,18 @@ type bbState struct {
 	bestCost int64
 	steps    int64
 	stats    obs.SolverStats
+
+	// Propagation state. Occurrence lists hold one entry per literal
+	// occurrence, so a duplicated literal counts twice and a clause
+	// holding x and ¬x is satisfied by either value of x.
+	hardOcc   occurrences
+	softOcc   occurrences
+	hardTrue  []int32   // by hard clause: occurrences assigned true
+	hardFalse []int32   // by hard clause: occurrences assigned false
+	softFalse []int32   // by soft clause: occurrences assigned false
+	trail     []int     // assigned variables, oldest first
+	units     unitQueue // hard clauses that may be unit or falsified
+	falsified int64     // weight of the soft clauses all of whose literals are false
 
 	prog     Progress
 	bus      *obs.EventBus // live heartbeats; nil when disabled
@@ -60,13 +83,32 @@ func (b *BranchBound) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, pro
 		return Result{}, fmt.Errorf("maxsat: %w", err)
 	}
 	st := &bbState{
-		inst:     inst,
-		assign:   make([]int8, inst.NumVars+1),
-		bestCost: -1,
-		prog:     prog,
-		bus:      obs.BusFromContext(ctx),
-		globalUB: -1,
-		minPrune: -1,
+		inst:      inst,
+		assign:    make([]int8, inst.NumVars+1),
+		bestCost:  -1,
+		hardOcc:   newOccurrences(inst.NumVars, len(inst.Hard), func(c int) cnf.Clause { return inst.Hard[c] }),
+		softOcc:   newOccurrences(inst.NumVars, len(inst.Soft), func(c int) cnf.Clause { return inst.Soft[c].Clause }),
+		hardTrue:  make([]int32, len(inst.Hard)),
+		hardFalse: make([]int32, len(inst.Hard)),
+		softFalse: make([]int32, len(inst.Soft)),
+		trail:     make([]int, 0, inst.NumVars),
+		prog:      prog,
+		bus:       obs.BusFromContext(ctx),
+		globalUB:  -1,
+		minPrune:  -1,
+	}
+	// Empty and unit hard clauses are pending before any assignment;
+	// empty soft clauses are falsified by every assignment.
+	for c, clause := range inst.Hard {
+		if len(clause) <= 1 {
+			st.units.push(int32(c))
+		}
+	}
+	for _, soft := range inst.Soft {
+		if len(soft.Clause) == 0 {
+			//lint:ignore weightsafe sums a subset of the soft weights, bounded by the Validate-checked total
+			st.falsified += soft.Weight
+		}
 	}
 	name := b.Name()
 	if n := obs.EngineNameFromContext(ctx); n != "" {
@@ -166,9 +208,11 @@ func (st *bbState) pruneBound() int64 {
 	return pb
 }
 
-// search explores assignments to order[depth:]; assign holds the current
-// partial assignment.
-func (st *bbState) search(ctx context.Context, depth int) error {
+// search explores the node whose decisions are on the trail: it
+// propagates the pending units, then branches on the first unassigned
+// variable of order[next:] (every earlier one is assigned). The caller
+// undoes the node's assignments.
+func (st *bbState) search(ctx context.Context, next int) error {
 	st.steps++
 	if st.steps&511 == 0 {
 		if err := ctx.Err(); err != nil {
@@ -185,54 +229,29 @@ func (st *bbState) search(ctx context.Context, depth int) error {
 		st.maybeHeartbeat()
 	}
 
-	// Unit propagation on hard clauses; trail records for undo.
-	var trail []int
-	undo := func() {
-		for _, v := range trail {
-			st.assign[v] = 0
-		}
-	}
-	//lint:ignore ctxpoll the fixpoint assigns at least one variable per iteration, bounded by the variable count; ctx is polled per search node
-	for {
-		unitVar, unitVal, conflict := st.findHardUnit()
-		if conflict {
-			st.stats.Conflicts++
-			undo()
-			return nil
-		}
-		if unitVar == 0 {
-			break
-		}
-		st.assign[unitVar] = unitVal
-		st.stats.Propagations++
-		trail = append(trail, unitVar)
-	}
-
-	// Prune when already no better than the best incumbent (ours or a
-	// sibling's). Any assignment below this node costs at least lb, so
-	// optimum ≥ min over all prunes of the bound used — tracked in
-	// minPrune for the completion-time optimality argument.
-	lb := st.falsifiedWeight()
-	if pb := st.pruneBound(); pb >= 0 && lb >= pb {
-		if st.minPrune < 0 || pb < st.minPrune {
-			st.minPrune = pb
-		}
-		undo()
+	if !st.propagate() {
+		st.stats.Conflicts++
 		return nil
 	}
 
-	// Next unassigned variable in branching order.
-	branch := 0
-	for _, v := range st.order {
-		if st.assign[v] == 0 {
-			branch = v
-			break
+	// Prune when already no better than the best incumbent (ours or a
+	// sibling's). Any assignment below this node costs at least the
+	// falsified weight, so optimum ≥ min over all prunes of the bound
+	// used — tracked in minPrune for the completion-time optimality
+	// argument.
+	if pb := st.pruneBound(); pb >= 0 && st.falsified >= pb {
+		if st.minPrune < 0 || pb < st.minPrune {
+			st.minPrune = pb
 		}
+		return nil
 	}
-	if branch == 0 {
+
+	for next < len(st.order) && st.assign[st.order[next]] != 0 {
+		next++
+	}
+	if next == len(st.order) {
 		// Complete assignment; hard clauses hold by propagation above.
-		cost := st.falsifiedWeight()
-		if st.bestCost < 0 || cost < st.bestCost {
+		if cost := st.falsified; st.bestCost < 0 || cost < st.bestCost {
 			st.stats.RecordBound(st.stats.Decisions, 0, cost)
 			st.bestCost = cost
 			st.best = make([]bool, st.inst.NumVars+1)
@@ -243,82 +262,186 @@ func (st *bbState) search(ctx context.Context, depth int) error {
 				st.prog.PublishModel(cost, st.best)
 			}
 		}
-		undo()
 		return nil
 	}
 
+	branch := st.order[next]
 	for _, val := range [2]int8{1, -1} {
-		st.assign[branch] = val
+		mark := len(st.trail)
+		st.set(branch, val)
 		st.stats.Decisions++
-		if err := st.search(ctx, depth+1); err != nil {
-			st.assign[branch] = 0
-			undo()
+		err := st.search(ctx, next+1)
+		st.undo(mark)
+		if err != nil {
 			return err
 		}
 	}
-	st.assign[branch] = 0
-	undo()
 	return nil
 }
 
-// findHardUnit scans hard clauses for a unit or a conflict.
-func (st *bbState) findHardUnit() (unitVar int, unitVal int8, conflict bool) {
-	for _, clause := range st.inst.Hard {
-		satisfied := false
-		unassigned := 0
-		var candidate cnf.Lit
-		for _, l := range clause {
-			switch st.assign[l.Var()] {
-			case 0:
-				unassigned++
-				candidate = l
-			case 1:
-				if l.Pos() {
-					satisfied = true
-				}
-			case -1:
-				if !l.Pos() {
-					satisfied = true
-				}
-			}
-			if satisfied {
-				break
-			}
-		}
-		if satisfied {
+// propagate assigns the literal of every pending unit hard clause,
+// lowest clause index first, until none is pending. It reports false,
+// with the queue emptied, when a hard clause has every literal false.
+func (st *bbState) propagate() bool {
+	for len(st.units) > 0 {
+		c := st.units.pop()
+		if st.hardTrue[c] > 0 {
 			continue
 		}
-		switch unassigned {
+		clause := st.inst.Hard[c]
+		switch int32(len(clause)) - st.hardFalse[c] {
 		case 0:
-			return 0, 0, true
+			st.units = st.units[:0]
+			return false
 		case 1:
-			val := int8(-1)
-			if candidate.Pos() {
-				val = 1
+			for _, l := range clause {
+				if st.assign[l.Var()] == 0 {
+					val := int8(-1)
+					if l.Pos() {
+						val = 1
+					}
+					st.set(l.Var(), val)
+					st.stats.Propagations++
+					break
+				}
 			}
-			return candidate.Var(), val, false
 		}
 	}
-	return 0, 0, false
+	return true
 }
 
-// falsifiedWeight sums the weights of soft clauses every literal of
-// which is assigned false — an admissible lower bound on any extension.
-func (st *bbState) falsifiedWeight() int64 {
-	var total int64
-	for _, soft := range st.inst.Soft {
-		falsified := true
-		for _, l := range soft.Clause {
-			v := st.assign[l.Var()]
-			if v == 0 || (v == 1) == l.Pos() {
-				falsified = false
-				break
-			}
-		}
-		if falsified {
-			//lint:ignore weightsafe sums a subset of the soft weights, bounded by the Validate-checked total
-			total += soft.Weight
+// set assigns v and pushes it on the trail: it counts v's literal
+// occurrences, queues the hard clauses left with at most one
+// unassigned literal and none true, and adds the weight of the soft
+// clauses it falsifies.
+func (st *bbState) set(v int, val int8) {
+	st.assign[v] = val
+	st.trail = append(st.trail, v)
+	t, f := litIndexes(v, val)
+	for _, c := range st.hardOcc.of(t) {
+		st.hardTrue[c]++
+	}
+	for _, c := range st.hardOcc.of(f) {
+		st.hardFalse[c]++
+		if st.hardTrue[c] == 0 && int32(len(st.inst.Hard[c]))-st.hardFalse[c] <= 1 {
+			st.units.push(c)
 		}
 	}
-	return total
+	for _, c := range st.softOcc.of(f) {
+		st.softFalse[c]++
+		if int(st.softFalse[c]) == len(st.inst.Soft[c].Clause) {
+			//lint:ignore weightsafe sums a subset of the soft weights, bounded by the Validate-checked total
+			st.falsified += st.inst.Soft[c].Weight
+		}
+	}
+}
+
+// undo unassigns the trail above mark, newest first, reversing set.
+func (st *bbState) undo(mark int) {
+	for i := len(st.trail) - 1; i >= mark; i-- {
+		v := st.trail[i]
+		t, f := litIndexes(v, st.assign[v])
+		for _, c := range st.hardOcc.of(t) {
+			st.hardTrue[c]--
+		}
+		for _, c := range st.hardOcc.of(f) {
+			st.hardFalse[c]--
+		}
+		for _, c := range st.softOcc.of(f) {
+			if int(st.softFalse[c]) == len(st.inst.Soft[c].Clause) {
+				st.falsified -= st.inst.Soft[c].Weight
+			}
+			st.softFalse[c]--
+		}
+		st.assign[v] = 0
+	}
+	st.trail = st.trail[:mark]
+}
+
+// litIndex numbers literals densely: 2v for v, 2v+1 for ¬v.
+func litIndex(l cnf.Lit) int {
+	if l.Pos() {
+		return 2 * l.Var()
+	}
+	return 2*l.Var() + 1
+}
+
+// litIndexes returns the indexes of the literals of v made true and
+// false by assigning it val.
+func litIndexes(v int, val int8) (t, f int) {
+	if val == 1 {
+		return 2 * v, 2*v + 1
+	}
+	return 2*v + 1, 2 * v
+}
+
+// occurrences lists, for every literal index i, the clauses in which
+// literal i occurs: list[start[i]:start[i+1]], one entry per occurrence.
+type occurrences struct {
+	start []int32
+	list  []int32
+}
+
+func newOccurrences(numVars, numClauses int, clause func(int) cnf.Clause) occurrences {
+	n := 2 * (numVars + 1)
+	start := make([]int32, n+1)
+	for c := 0; c < numClauses; c++ {
+		for _, l := range clause(c) {
+			start[litIndex(l)+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	list := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for c := 0; c < numClauses; c++ {
+		for _, l := range clause(c) {
+			i := litIndex(l)
+			list[fill[i]] = int32(c)
+			fill[i]++
+		}
+	}
+	return occurrences{start: start, list: list}
+}
+
+func (o occurrences) of(i int) []int32 { return o.list[o.start[i]:o.start[i+1]] }
+
+// unitQueue is a binary min-heap of hard clause indexes. A clause may
+// be queued more than once and may be satisfied by the time it is
+// popped; propagate skips such entries.
+type unitQueue []int32
+
+func (q *unitQueue) push(c int32) {
+	h := append(*q, c)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	*q = h
+}
+
+func (q *unitQueue) pop() int32 {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; 2*i+1 < len(h); {
+		small := 2*i + 1
+		if right := small + 1; right < len(h) && h[right] < h[small] {
+			small = right
+		}
+		if h[i] <= h[small] {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	*q = h
+	return top
 }

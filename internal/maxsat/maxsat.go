@@ -8,7 +8,10 @@
 //     solver's native pseudo-Boolean budget propagator for the bound.
 //   - WMSU1: core-guided Fu&Malik with weight splitting (WPM1).
 //   - BranchBound: dedicated branch-and-bound over the instance
-//     variables with unit propagation and falsified-weight bounding.
+//     variables. Unit propagation keeps per-literal occurrence lists
+//     and per-clause counts of true and false literals, so an
+//     assignment costs its occurrences, not a rescan; the falsified
+//     soft weight that bounds the search is a running sum.
 //
 // All engines are deterministic for a fixed instance and configuration.
 package maxsat

@@ -88,6 +88,17 @@ func (a *clauseArena) markDeleted(r clauseRef) {
 	a.wasted += hdrWords + a.size(r)
 }
 
+// release frees a clause that nothing references any more. A clause at
+// the end of the arena is cut off, so its words are reused by the next
+// alloc; any other is marked deleted for the next compacting GC.
+func (a *clauseArena) release(r clauseRef) {
+	if int(r)+hdrWords+a.size(r) == len(a.data) {
+		a.data = a.data[:r]
+		return
+	}
+	a.markDeleted(r)
+}
+
 // reloc moves the clause at *r into 'to' (unless a previous reloc
 // already moved it, in which case the stored forwarding ref is used)
 // and rewrites *r. Only live clauses may be relocated; the old arena is

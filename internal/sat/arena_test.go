@@ -42,6 +42,52 @@ func TestArenaAllocAccessors(t *testing.T) {
 	}
 }
 
+// release cuts a clause at the arena's end off (its words are reused by
+// the next alloc) and marks any other clause deleted for the GC.
+func TestArenaReleaseReusesTail(t *testing.T) {
+	var a clauseArena
+	r1 := a.alloc([]lit{mkLit(0, false), mkLit(1, false)}, flagTemp)
+	r2 := a.alloc([]lit{mkLit(2, false), mkLit(3, false), mkLit(4, true)}, flagTemp)
+	a.release(r1) // not at the tail
+	if !a.deleted(r1) || a.wasted != hdrWords+2 {
+		t.Fatalf("inner release: deleted=%v wasted=%d", a.deleted(r1), a.wasted)
+	}
+	a.release(r2) // the tail
+	if a.words() != int(r2) || a.wasted != hdrWords+2 {
+		t.Fatalf("tail release: words=%d (want %d) wasted=%d", a.words(), r2, a.wasted)
+	}
+	if r3 := a.alloc([]lit{mkLit(5, false)}, 0); r3 != r2 {
+		t.Fatalf("next alloc at %d, want the freed tail %d", r3, r2)
+	}
+}
+
+// checkArenaAccounting walks the arena clause by clause: the deleted
+// words must be exactly the wasted count, and every live temp clause
+// must still be some assigned variable's reason (a released budget
+// reason that was neither cut off nor marked deleted would leak).
+func checkArenaAccounting(t *testing.T, s *Solver) {
+	t.Helper()
+	reasons := make(map[clauseRef]bool)
+	for v := 0; v < s.numVars; v++ {
+		if s.reason[v] != refUndef {
+			reasons[s.reason[v]] = true
+		}
+	}
+	dead := 0
+	for r := 0; r < s.ca.words(); r += hdrWords + s.ca.size(clauseRef(r)) {
+		cr := clauseRef(r)
+		switch {
+		case s.ca.deleted(cr):
+			dead += hdrWords + s.ca.size(cr)
+		case s.ca.temp(cr) && !reasons[cr]:
+			t.Fatalf("temp clause at %d is live but nobody's reason", r)
+		}
+	}
+	if dead != s.ca.wasted {
+		t.Fatalf("deleted words %d, wasted count %d", dead, s.ca.wasted)
+	}
+}
+
 func TestArenaRelocForwarding(t *testing.T) {
 	var a clauseArena
 	dead := a.alloc([]lit{mkLit(0, false), mkLit(1, false)}, 0)
@@ -225,6 +271,7 @@ func TestGCWithBudgetReasons(t *testing.T) {
 			if cost == 0 {
 				break
 			}
+			checkArenaAccounting(t, s)
 			if err := s.SetBudgetBound(cost - 1); err != nil {
 				t.Fatal(err)
 			}
@@ -233,6 +280,7 @@ func TestGCWithBudgetReasons(t *testing.T) {
 			t.Fatalf("trial %d: linear search under GC found %d, brute force %d", trial, best, want)
 		}
 		checkSolverRefs(t, s)
+		checkArenaAccounting(t, s)
 	}
 }
 

@@ -193,3 +193,83 @@ func bruteForceBudget(numVars int, clauses []cnf.Clause, weights []int64, bound 
 	}
 	return false
 }
+
+// TestOrderHeapAfterGrowth interleaves AddVars, AddClause (including
+// clauses over not-yet-declared variables) and Solve, and after every
+// step checks the VSIDS order heap. Growth inserts only the new
+// variables, relying on Solve's final cancelUntil(0) to re-insert every
+// variable it unassigned; so every unassigned variable must be in the
+// heap, once, at a consistent index. The heap may also keep variables
+// fixed at level 0, which branching skips when it pops them.
+func TestOrderHeapAfterGrowth(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(23))
+	s := New(3)
+	randLit := func(maxVar int) cnf.Lit {
+		l := cnf.Lit(rng.Intn(maxVar) + 1)
+		if rng.Intn(2) == 0 {
+			l = -l
+		}
+		return l
+	}
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(4) {
+		case 0:
+			s.AddVars(1 + rng.Intn(3))
+		case 1:
+			// Up to two variables past NumVars: AddClause grows too.
+			maxVar := s.NumVars() + rng.Intn(3)
+			clause := make([]cnf.Lit, 2+rng.Intn(3))
+			for i := range clause {
+				clause[i] = randLit(maxVar)
+			}
+			s.AddClause(clause...)
+		default:
+			var assumps []cnf.Lit
+			for i := rng.Intn(3); i > 0; i-- {
+				assumps = append(assumps, randLit(s.NumVars()))
+			}
+			if _, err := s.Solve(ctx, assumps...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkOrderHeap(t, s, step)
+		if s.unsat {
+			s = New(3)
+		}
+	}
+}
+
+func checkOrderHeap(t *testing.T, s *Solver, step int) {
+	t.Helper()
+	h := s.order
+	if s.decisionLevel() != 0 {
+		t.Fatalf("step %d: solver left at decision level %d", step, s.decisionLevel())
+	}
+	if len(h.indices) != s.numVars {
+		t.Fatalf("step %d: heap indexes %d variables, solver has %d", step, len(h.indices), s.numVars)
+	}
+	inHeap := make([]bool, s.numVars)
+	for i, v := range h.heap {
+		if inHeap[v] {
+			t.Fatalf("step %d: variable %d is in the heap twice", step, v)
+		}
+		inHeap[v] = true
+		if h.indices[v] != i {
+			t.Fatalf("step %d: variable %d at heap position %d has index %d", step, v, i, h.indices[v])
+		}
+		if i > 0 && h.less(i, (i-1)/2) {
+			t.Fatalf("step %d: heap order broken at position %d", step, i)
+		}
+	}
+	for v := 0; v < s.numVars; v++ {
+		switch {
+		case !inHeap[v] && h.indices[v] != -1:
+			t.Fatalf("step %d: variable %d is absent but has index %d", step, v, h.indices[v])
+		case !inHeap[v] && s.assigns[v] == lUndef:
+			t.Fatalf("step %d: unassigned variable %d is missing from the heap", step, v)
+		case inHeap[v] && s.assigns[v] != lUndef && s.level[v] != 0:
+			t.Fatalf("step %d: variable %d assigned at level %d is in the heap", step, v, s.level[v])
+		}
+	}
+}

@@ -117,7 +117,7 @@ type Solver struct {
 	learntBuf   []lit    // reusable learnt-clause buffer
 	stamp       uint64   // shared stamp for seen2/levelStamp
 	seen2       []uint64 // var -> stamp: learnt-clause membership marks
-	levelStamp  []uint64 // level -> stamp: LBD distinct-level counting
+	levelStamp  []uint64 // level -> stamp: LBD distinct-level counting; grown by newDecisionLevel
 
 	unsat   bool // established at level 0
 	model   []bool
@@ -127,13 +127,17 @@ type Solver struct {
 	maxLearnts float64
 
 	// Budget propagator state (see SetBudget).
-	budgetWeight  []int64 // by lit; 0 when not budgeted
+	budgetWeight  []int64 // by lit; 0 when not budgeted; nil until SetBudget
 	budgetLits    []lit   // budgeted literals, sorted by descending weight
 	budgetBound   int64
 	budgetSum     int64 // weight of currently-true budgeted literals
 	hasBudget     bool
 	budgetRefresh func() (int64, bool)
 	budgetScratch []lit // reusable reason-construction buffer
+	// Reusable propagateBudget buffers: the true budget literals'
+	// negations, heavy first, and their prefix weight sums.
+	budgetTrueNegs []lit
+	budgetPrefix   []int64
 
 	stats Stats
 
@@ -166,7 +170,12 @@ func (s *Solver) AddVars(n int) int {
 	return s.numVars
 }
 
+// growTo extends the per-variable state to numVars variables and
+// queues only the new ones for branching: every older unassigned
+// variable is already in the order heap, since Solve returns through
+// cancelUntil(0), which re-inserts each variable it unassigns.
 func (s *Solver) growTo(numVars int) {
+	first := s.numVars
 	for s.numVars < numVars {
 		s.assigns = append(s.assigns, lUndef)
 		s.level = append(s.level, 0)
@@ -176,17 +185,14 @@ func (s *Solver) growTo(numVars int) {
 		s.seen = append(s.seen, seenNone)
 		s.seen2 = append(s.seen2, 0)
 		s.watches = append(s.watches, nil, nil)
-		s.budgetWeight = append(s.budgetWeight, 0, 0)
+		if s.budgetWeight != nil {
+			s.budgetWeight = append(s.budgetWeight, 0, 0)
+		}
 		s.numVars++
 	}
-	for len(s.levelStamp) < s.numVars+1 {
-		s.levelStamp = append(s.levelStamp, 0)
-	}
 	s.order.grow(s.numVars, s.activity)
-	for v := 0; v < s.numVars; v++ {
-		if s.assigns[v] == lUndef {
-			s.order.insert(v)
-		}
+	for v := first; v < s.numVars; v++ {
+		s.order.insert(v)
 	}
 }
 
@@ -312,6 +318,9 @@ func (s *Solver) SetBudget(lits []cnf.Lit, weights []int64, bound int64) error {
 	}
 	if maxVar > s.numVars {
 		s.growTo(maxVar)
+	}
+	if s.budgetWeight == nil {
+		s.budgetWeight = make([]int64, 2*s.numVars)
 	}
 	for i := range s.budgetWeight {
 		s.budgetWeight[i] = 0
@@ -460,11 +469,14 @@ func (s *Solver) garbageCollect() {
 	s.stats.ClauseGCs++
 }
 
-// releaseTemp marks a transient budget-propagator clause deleted so the
-// next GC reclaims it. No-op for ordinary clauses.
+// releaseTemp frees a transient budget-propagator clause. No-op for
+// ordinary clauses. Budget reasons are allocated in trail order and
+// released newest first on backtrack (the conflict clause just before),
+// so most of them sit at the arena's end and their words are reused at
+// once instead of waiting for a compacting GC.
 func (s *Solver) releaseTemp(cr clauseRef) {
 	if cr != refUndef && s.ca.temp(cr) && !s.ca.deleted(cr) {
-		s.ca.markDeleted(cr)
+		s.ca.release(cr)
 	}
 }
 
@@ -591,10 +603,14 @@ func (s *Solver) propagateBudget() (clauseRef, bool) {
 	}
 	slack := s.budgetBound - s.budgetSum
 	propagated := false
+	// trueNegs holds the negations of the true budget literals, heavy
+	// first, and prefix[i] = Σ weight(trueNegs[:i+1]); both reuse the
+	// solver's buffers and are filled at the first implication.
 	var (
-		trueNegs []lit   // negations of the true budget literals, heavy first
-		prefix   []int64 // prefix[i] = Σ weight(trueNegs[:i+1])
+		trueNegs []lit
+		prefix   []int64
 	)
+	collected := false
 	for _, l := range s.budgetLits {
 		w := s.budgetWeight[l]
 		if w <= slack {
@@ -605,8 +621,9 @@ func (s *Solver) propagateBudget() (clauseRef, bool) {
 		if s.value(l) != lUndef {
 			continue
 		}
-		if trueNegs == nil {
-			trueNegs = make([]lit, 0, 16)
+		if !collected {
+			collected = true
+			trueNegs, prefix = s.budgetTrueNegs[:0], s.budgetPrefix[:0]
 			for _, t := range s.budgetLits {
 				if s.value(t) == lTrue {
 					sum := s.budgetWeight[t]
@@ -617,6 +634,7 @@ func (s *Solver) propagateBudget() (clauseRef, bool) {
 					prefix = append(prefix, sum)
 				}
 			}
+			s.budgetTrueNegs, s.budgetPrefix = trueNegs, prefix
 		}
 		// The shortest heavy-first prefix t₁…tₘ with Σweight + w > bound
 		// explains the implication ¬ℓ as the reason implied ∨ ¬t₁ ∨ … ∨ ¬tₘ.

@@ -202,29 +202,6 @@ func render(ev event, quiet bool) string {
 			line += " (" + p.Err + ")"
 		}
 		return line
-	case obs.KindModuleStarted:
-		var p obs.ModuleStarted
-		if json.Unmarshal(ev.Data, &p) != nil {
-			break
-		}
-		line := fmt.Sprintf("%s  module   %s started (%d events", at, p.Module, p.Events)
-		if len(p.Children) > 0 {
-			line += fmt.Sprintf(", %d sub-modules", len(p.Children))
-		}
-		return line + ")"
-	case obs.KindModuleFinished:
-		var p obs.ModuleFinished
-		if json.Unmarshal(ev.Data, &p) != nil {
-			break
-		}
-		line := fmt.Sprintf("%s  module   %s %s p=%.6g in %.1fms", at, p.Module, p.Status, p.Probability, p.ElapsedMS)
-		if p.Winner != "" {
-			line += " winner=" + p.Winner
-		}
-		if p.Err != "" {
-			line += " err=" + p.Err
-		}
-		return line
 	case obs.KindRestartFired:
 		if quiet {
 			return ""

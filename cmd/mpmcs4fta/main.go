@@ -9,7 +9,6 @@
 //
 //	mpmcs4fta -input tree.json [-format json|text] [-topk N] [-disjoint]
 //	          [-engine portfolio|bdd] [-sequential] [-timeout 30s] [-pg]
-//	          [-no-decompose]
 //	          [-output out.json] [-dot out.dot] [-wcnf out.wcnf] [-report]
 //	          [-trace spans.json] [-metrics metrics.prom]
 //	          [-cpuprofile cpu.prof] [-obs-listen addr] [-obs-linger 30s]
@@ -58,7 +57,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		topK       = fs.Int("topk", 1, "number of ranked cut sets to compute")
 		engine     = fs.String("engine", "portfolio", "solving engine: portfolio or bdd")
 		sequential = fs.Bool("sequential", false, "run portfolio engines sequentially (deterministic)")
-		noDecomp   = fs.Bool("no-decompose", false, "disable modular decomposition: solve the tree as one monolithic MaxSAT instance")
 		timeout    = fs.Duration("timeout", 0, "overall analysis timeout (0 = none; -engine portfolio only)")
 		pg         = fs.Bool("pg", false, "use the Plaisted-Greenbaum CNF encoding")
 		wcnfFile   = fs.String("wcnf", "", "also export the Step-4 MaxSAT instance in DIMACS WCNF format")
@@ -93,7 +91,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		Sequential:        *sequential,
 		PlaistedGreenbaum: *pg,
 		Timeout:           *timeout,
-		NoDecompose:       *noDecomp,
 	}
 
 	var tracer *mpmcs4fta.JSONTracer

@@ -200,6 +200,7 @@ func TestRunErrors(t *testing.T) {
 		{"bdd with timeout", []string{"-input", input, "-engine", "bdd", "-timeout", "1ms"}, "-timeout requires -engine portfolio"},
 		{"bad format", []string{"-input", input, "-format", "yaml"}, "unknown input format"},
 		{"no worker knob", []string{"-decompose-workers", "2", input}, "flag provided but not defined"},
+		{"no decomposition knob", []string{"-no-decompose", input}, "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -8,7 +8,7 @@
 //
 //	mpmcsd [-listen :8357] [-workers N] [-default-timeout 30s]
 //	       [-max-timeout 5m] [-cache-entries 1024] [-sequential]
-//	       [-pg] [-no-decompose]
+//	       [-pg]
 //
 // Endpoints (see internal/serve for the request/response contract):
 //
@@ -50,7 +50,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 		cacheSize  = fs.Int("cache-entries", 1024, "bound on cached solution documents")
 		sequential = fs.Bool("sequential", false, "run portfolio engines sequentially (deterministic)")
 		pg         = fs.Bool("pg", false, "use the Plaisted-Greenbaum CNF encoding")
-		noDecomp   = fs.Bool("no-decompose", false, "disable modular decomposition")
 	)
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitUsage
@@ -64,7 +63,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 		Core: core.Options{
 			Sequential:        *sequential,
 			PlaistedGreenbaum: *pg,
-			NoDecompose:       *noDecomp,
 		},
 	})
 	bound, err := s.Start(*listen)

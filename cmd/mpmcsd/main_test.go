@@ -70,6 +70,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-definitely-not-a-flag"},
 		{"-decompose-workers", "2"},
+		{"-no-decompose"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(args, &stderr, nil, nil); code != 2 {

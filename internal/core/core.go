@@ -91,13 +91,11 @@ type Options struct {
 	// analysis runs (see obs.EventBus and obs.Server). Nil disables the
 	// event path at zero cost.
 	Bus *obs.EventBus
-	// NoDecompose disables modular decomposition of the solve path: the
-	// tree is solved as one monolithic WCNF instance even when it has
-	// independent modules (the --no-decompose CLI flag).
+	// NoDecompose is ignored: every analysis solves the tree as one
+	// WCNF instance.
+	//
+	// Deprecated: the decomposed solve path it switched off is gone.
 	NoDecompose bool
-	// DecomposeMinEvents is the smallest module subtree worth its own
-	// sub-solve (≤0 selects decomp.DefaultMinEvents).
-	DecomposeMinEvents int
 }
 
 func (o Options) withDefaults() Options {
@@ -342,17 +340,6 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 	if root.Recording() {
 		root.SetString("tree", tree.Name())
 	}
-	if plan := decompositionPlan(tree, opts); plan != nil {
-		solution, races, err := analyzeDecomposed(ctx, tree, plan, opts, root)
-		if err != nil {
-			return nil, err
-		}
-		solution.ElapsedMS = millisSince(start)
-		opts.Metrics.Add("modular_analyses", 1)
-		opts.Metrics.Add("modules_solved", int64(len(plan.Nodes)))
-		recordAnalysisMetrics(opts.Metrics, solution, time.Since(start), races...)
-		return solution, nil
-	}
 	steps, err := buildSteps(tree, opts, root)
 	if err != nil {
 		return nil, err
@@ -467,7 +454,7 @@ func decodeSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portf
 		return nil, err
 	}
 	solution.ElapsedMS = millisSince(start)
-	recordAnalysisMetrics(opts.Metrics, solution, report.Elapsed, report)
+	recordAnalysisMetrics(opts.Metrics, solution, report)
 	return solution, nil
 }
 
@@ -477,16 +464,14 @@ func millisSince(start time.Time) float64 {
 }
 
 // recordAnalysisMetrics folds one completed analysis into the
-// process-level counters. elapsed is its solve time; races holds the
-// report of every portfolio race whose model the solution is built
-// from: one for a monolithic solve, one per module for a decomposed
-// one. Safe on a nil registry.
-func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, elapsed time.Duration, races ...portfolio.Report) {
+// process-level counters: race is the portfolio race whose model the
+// solution is built from. Safe on a nil registry.
+func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, race portfolio.Report) {
 	if m == nil {
 		return
 	}
 	m.Add("analyses", 1)
-	m.Add("solve_us_total", elapsed.Microseconds())
+	m.Add("solve_us_total", race.Elapsed.Microseconds())
 	if sol.Status == maxsat.Feasible.String() {
 		m.Add("anytime_answers", 1)
 	}
@@ -495,18 +480,16 @@ func recordAnalysisMetrics(m *obs.Metrics, sol *Solution, elapsed time.Duration,
 	m.Add("conflicts", s.Conflicts)
 	m.Add("decisions", s.Decisions)
 	m.Add("propagations", s.Propagations)
-	for _, r := range races {
-		if r.Winner != "" {
-			m.Add("winner."+r.Winner, 1)
-		}
-		if c := r.Coop; c.ModelsPublished > 0 || c.LowerBoundsPublished > 0 {
-			m.Add("coop_models_published", c.ModelsPublished)
-			m.Add("coop_models_improved", c.ModelsImproved)
-			m.Add("coop_lower_bounds_published", c.LowerBoundsPublished)
-		}
-		if r.Coop.RaceClosedByBounds {
-			m.Add("coop_race_closed_by_bounds", 1)
-		}
+	if race.Winner != "" {
+		m.Add("winner."+race.Winner, 1)
+	}
+	if c := race.Coop; c.ModelsPublished > 0 || c.LowerBoundsPublished > 0 {
+		m.Add("coop_models_published", c.ModelsPublished)
+		m.Add("coop_models_improved", c.ModelsImproved)
+		m.Add("coop_lower_bounds_published", c.LowerBoundsPublished)
+	}
+	if race.Coop.RaceClosedByBounds {
+		m.Add("coop_race_closed_by_bounds", 1)
 	}
 }
 

@@ -37,18 +37,6 @@ func AnalyzeTopKComplete(ctx context.Context, tree *ft.Tree, k int, opts Options
 	if k < 1 {
 		return nil, false, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	if k == 1 {
-		// A top-1 query is exactly Analyze, which can exploit modular
-		// decomposition; enumeration beyond the first set needs global
-		// blocking clauses and stays monolithic.
-		if plan := decompositionPlan(tree, opts); plan != nil {
-			solution, err := Analyze(ctx, tree, opts)
-			if err != nil {
-				return nil, false, err
-			}
-			return []*Solution{solution}, solution.Status == maxsat.Optimal.String(), nil
-		}
-	}
 	return enumerate(ctx, tree, ranking{span: "analyze-topk", k: k}, opts)
 }
 

@@ -1,19 +1,11 @@
 package decomp_test
 
 import (
-	"context"
-	"errors"
-	"math"
-	"runtime"
-	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/ft"
-	"mpmcs4fta/internal/obs"
 )
 
 // modularTree builds: top = OR(m1, m2, e0) with m1 = AND(e1..e4) and
@@ -46,55 +38,11 @@ func mustAdd(t *testing.T, err error) {
 	}
 }
 
-// bruteSolve is the oracle Solver: exhaustive max-probability cut set
-// over the node's quotient events. With every probability strictly
-// inside (0,1), the maximiser is automatically a minimal cut set.
-func bruteSolve(_ context.Context, node *decomp.PlanNode) (decomp.ModuleSolution, error) {
-	return bruteTree(node.Tree)
-}
-
-func bruteTree(tree *ft.Tree) (decomp.ModuleSolution, error) {
-	events := tree.Events()
-	best := 0.0
-	var bestSet []string
-	for mask := 1; mask < 1<<len(events); mask++ {
-		failed := make(map[string]bool, len(events))
-		p := 1.0
-		var set []string
-		for i, e := range events {
-			if mask&(1<<i) != 0 {
-				failed[e.ID] = true
-				p *= e.Prob
-				set = append(set, e.ID)
-			}
-		}
-		if p <= best {
-			continue
-		}
-		ok, err := tree.Eval(failed)
-		if err != nil {
-			return decomp.ModuleSolution{}, err
-		}
-		if ok {
-			best = p
-			bestSet = set
-		}
-	}
-	if len(bestSet) == 0 {
-		return decomp.ModuleSolution{Impossible: true}, nil
-	}
-	sort.Strings(bestSet)
-	return decomp.ModuleSolution{CutSet: bestSet, Probability: best, Optimal: true}, nil
-}
-
 func TestBuildPlanModularTree(t *testing.T) {
 	tree := modularTree(t)
 	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan.Trivial() {
-		t.Fatal("expected a non-trivial plan")
 	}
 	if len(plan.Nodes) != 3 {
 		t.Fatalf("plan has %d nodes, want 3", len(plan.Nodes))
@@ -107,13 +55,13 @@ func TestBuildPlanModularTree(t *testing.T) {
 		t.Fatalf("root children = %q, want m1,m2", got)
 	}
 	// Root quotient: loose event e0 plus two pseudo-events.
-	if root.Events != 1 {
-		t.Fatalf("root real events = %d, want 1", root.Events)
+	if got := root.Tree.NumEvents(); got != 3 {
+		t.Fatalf("root quotient events = %d, want 3", got)
 	}
 	for _, child := range []string{"m1", "m2"} {
 		n := plan.Nodes[child]
-		if n.Events != 4 || len(n.Children) != 0 || n.Parent != "top" {
-			t.Fatalf("node %s = %+v, want 4 events, no children, parent top", child, n)
+		if n.Tree.NumEvents() != 4 || len(n.Children) != 0 {
+			t.Fatalf("node %s = %+v, want 4 events, no children", child, n)
 		}
 		if n.Tree.Top() != child {
 			t.Fatalf("node %s quotient top = %q", child, n.Tree.Top())
@@ -123,9 +71,6 @@ func TestBuildPlanModularTree(t *testing.T) {
 	if plan.Order[len(plan.Order)-1] != "top" {
 		t.Fatalf("order %v does not end at the root", plan.Order)
 	}
-	if plan.TotalEvents != 9 {
-		t.Fatalf("TotalEvents = %d, want 9", plan.TotalEvents)
-	}
 }
 
 func TestBuildPlanTrivialWhenModulesTooSmall(t *testing.T) {
@@ -134,12 +79,12 @@ func TestBuildPlanTrivialWhenModulesTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Trivial() {
-		t.Fatalf("plan with %d nodes should be trivial", len(plan.Nodes))
+	if len(plan.Nodes) != 1 {
+		t.Fatalf("plan has %d nodes, want the root alone", len(plan.Nodes))
 	}
 	// The trivial plan still holds the whole tree at its root.
-	if plan.Nodes["top"].Events != 9 {
-		t.Fatalf("trivial root events = %d, want 9", plan.Nodes["top"].Events)
+	if got := plan.Nodes["top"].Tree.NumEvents(); got != 9 {
+		t.Fatalf("trivial root events = %d, want 9", got)
 	}
 }
 
@@ -158,8 +103,8 @@ func TestBuildPlanSharedEventsStayMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.Trivial() {
-		t.Fatalf("shared-event tree produced %d plan nodes, want trivial", len(plan.Nodes))
+	if len(plan.Nodes) != 1 {
+		t.Fatalf("shared-event tree produced %d plan nodes, want the root alone", len(plan.Nodes))
 	}
 }
 
@@ -182,11 +127,11 @@ func TestBuildPlanNestedModules(t *testing.T) {
 	if len(plan.Nodes) != 3 {
 		t.Fatalf("plan has %d nodes, want 3 (top, mid, inner)", len(plan.Nodes))
 	}
-	if got := plan.Nodes["mid"].Parent; got != "top" {
-		t.Fatalf("mid parent = %q", got)
+	if got := strings.Join(plan.Nodes["top"].Children, ","); got != "mid" {
+		t.Fatalf("top children = %q, want mid", got)
 	}
-	if got := plan.Nodes["inner"].Parent; got != "mid" {
-		t.Fatalf("inner parent = %q", got)
+	if got := strings.Join(plan.Nodes["mid"].Children, ","); got != "inner" {
+		t.Fatalf("mid children = %q, want inner", got)
 	}
 	// Order must put inner before mid before top.
 	pos := make(map[string]int)
@@ -197,205 +142,4 @@ func TestBuildPlanNestedModules(t *testing.T) {
 		t.Fatalf("order %v is not bottom-up", plan.Order)
 	}
 
-	// Execute with the oracle and compare against brute force on the
-	// whole tree.
-	out, err := decomp.Execute(context.Background(), plan, bruteSolve, decomp.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bruteTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOutcome(t, out, want)
-}
-
-func checkOutcome(t *testing.T, out *decomp.Outcome, want decomp.ModuleSolution) {
-	t.Helper()
-	if out.Impossible {
-		t.Fatal("outcome impossible, want a cut set")
-	}
-	if !out.Optimal || out.GapLog != 0 {
-		t.Fatalf("outcome not optimal: %+v", out)
-	}
-	got := strings.Join(out.CutSet, ",")
-	if got != strings.Join(want.CutSet, ",") {
-		t.Fatalf("cut set = %s, want %s", got, strings.Join(want.CutSet, ","))
-	}
-}
-
-func TestExecuteMatchesMonolithicOracle(t *testing.T) {
-	tree := modularTree(t)
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := obs.NewEventBus()
-	out, err := decomp.Execute(context.Background(), plan, bruteSolve, decomp.ExecOptions{Bus: bus})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := bruteTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOutcome(t, out, want)
-
-	// Cross-check the composed probability against the expanded set.
-	p := 1.0
-	for _, id := range out.CutSet {
-		p *= tree.Event(id).Prob
-	}
-	if math.Abs(p-want.Probability) > 1e-12 {
-		t.Fatalf("expanded probability %v, want %v", p, want.Probability)
-	}
-
-	// Module lifecycle events: one started+finished pair per node.
-	started, finished := 0, 0
-	for _, ev := range bus.Replay() {
-		switch ev.Kind {
-		case obs.KindModuleStarted:
-			started++
-		case obs.KindModuleFinished:
-			finished++
-		}
-	}
-	if started != len(plan.Nodes) || finished != len(plan.Nodes) {
-		t.Fatalf("module events started=%d finished=%d, want %d each", started, finished, len(plan.Nodes))
-	}
-}
-
-func TestExecuteImpossibleModule(t *testing.T) {
-	// m1 can never occur (p=0 event under an AND); the optimum must
-	// come from m2.
-	tree := ft.New("impossible-module")
-	mustAdd(t, tree.AddEvent("z", 0))
-	for _, id := range []string{"a1", "a2", "a3", "b1", "b2", "b3", "b4"} {
-		mustAdd(t, tree.AddEvent(id, 0.2))
-	}
-	mustAdd(t, tree.AddAnd("m1", "z", "a1", "a2", "a3"))
-	mustAdd(t, tree.AddAnd("m2", "b1", "b2", "b3", "b4"))
-	mustAdd(t, tree.AddOr("top", "m1", "m2"))
-	tree.SetTop("top")
-
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Trivial() {
-		t.Fatal("expected a non-trivial plan")
-	}
-	out, err := decomp.Execute(context.Background(), plan, bruteSolve, decomp.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(out.CutSet, ","); got != "b1,b2,b3,b4" {
-		t.Fatalf("cut set = %s, want b1,b2,b3,b4", got)
-	}
-	if !out.Solutions["m1"].Impossible {
-		t.Fatal("m1 should be impossible")
-	}
-}
-
-func TestExecuteWholeTreeImpossible(t *testing.T) {
-	tree := ft.New("impossible")
-	mustAdd(t, tree.AddEvent("z", 0))
-	for _, id := range []string{"a1", "a2", "a3", "b1", "b2", "b3", "b4"} {
-		mustAdd(t, tree.AddEvent(id, 0.2))
-	}
-	mustAdd(t, tree.AddAnd("m1", "z", "a1", "a2", "a3"))
-	mustAdd(t, tree.AddOr("m2", "b1", "b2", "b3", "b4"))
-	mustAdd(t, tree.AddAnd("top", "m1", "m2"))
-	tree.SetTop("top")
-
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := decomp.Execute(context.Background(), plan, bruteSolve, decomp.ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Impossible {
-		t.Fatalf("outcome = %+v, want impossible", out)
-	}
-}
-
-func TestExecuteSolverErrorAborts(t *testing.T) {
-	tree := modularTree(t)
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("engine exploded")
-	var calls atomic.Int32
-	solver := func(ctx context.Context, node *decomp.PlanNode) (decomp.ModuleSolution, error) {
-		calls.Add(1)
-		if node.ID == "m1" {
-			return decomp.ModuleSolution{}, boom
-		}
-		return bruteSolve(ctx, node)
-	}
-	_, err = decomp.Execute(context.Background(), plan, solver, decomp.ExecOptions{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Execute error = %v, want the solver error", err)
-	}
-	// The root must never have been submitted after the failure.
-	if calls.Load() > 2 {
-		t.Fatalf("solver ran %d times after abort, want ≤2", calls.Load())
-	}
-}
-
-func TestExecuteCancellationNoLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-	tree := modularTree(t)
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver := func(ctx context.Context, node *decomp.PlanNode) (decomp.ModuleSolution, error) {
-		<-ctx.Done() // a solve that only ends when cancelled
-		return decomp.ModuleSolution{}, ctx.Err()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := decomp.Execute(ctx, plan, solver, decomp.ExecOptions{}); err == nil {
-		t.Fatal("Execute succeeded with a never-finishing solver")
-	}
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestExpandNested(t *testing.T) {
-	tree := ft.New("nested")
-	for _, id := range []string{"i1", "i2", "i3", "i4", "x1", "x2", "x3", "o1", "o2", "o3", "o4"} {
-		mustAdd(t, tree.AddEvent(id, 0.2))
-	}
-	mustAdd(t, tree.AddAnd("inner", "i1", "i2", "i3", "i4"))
-	mustAdd(t, tree.AddOr("mid", "inner", "x1", "x2", "x3"))
-	mustAdd(t, tree.AddAnd("top", "mid", "o1", "o2", "o3", "o4"))
-	tree.SetTop("top")
-	plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := plan.Expand(map[string][]string{
-		"top":   {"mid", "o1", "o2", "o3", "o4"},
-		"mid":   {"inner"},
-		"inner": {"i1", "i2", "i3", "i4"},
-	})
-	want := "i1,i2,i3,i4,o1,o2,o3,o4"
-	if strings.Join(got, ",") != want {
-		t.Fatalf("expanded = %v, want %s", got, want)
-	}
 }

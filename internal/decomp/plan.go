@@ -1,18 +1,13 @@
-// Package decomp turns one fault tree into a modular decomposition
-// plan and executes it: independent Dutuit–Rauzy modules (ft.Modules)
-// are solved as separate MaxSAT instances, bottom-up, each solved
-// module re-entering its parent as a pseudo-basic-event whose
-// probability is the module's own MPMCS optimum. Because modules are
-// variable-disjoint and −log weights are additive, substituting module
-// optima preserves the global optimum: the MPMCS of the whole tree is
-// the root quotient's MPMCS with every pseudo-event expanded by its
-// module's cut set.
+// Package decomp builds the modular decomposition plan of a fault
+// tree: its independent Dutuit–Rauzy modules (ft.Modules), each cut
+// out as a quotient tree in which every nested module appears as one
+// pseudo-basic-event. Because modules share no events, a module can be
+// analysed in isolation and re-enter its parent as a single event
+// carrying the module's result.
 //
-// The package is deliberately solver-agnostic: BuildPlan produces
-// quotient trees, Execute schedules them over a sched.Pool and calls
-// back into a Solver the caller provides (internal/core supplies the
-// WCNF + portfolio pipeline), so decomp depends only on ft, sched and
-// obs and cannot cycle back into core.
+// quant.ModularProbability solves the quotients bottom-up with one BDD
+// each. The MaxSAT pipeline does not decompose: it always solves the
+// whole tree as one instance.
 package decomp
 
 import (
@@ -24,13 +19,12 @@ import (
 
 // DefaultMinEvents is the smallest module subtree worth a separate
 // solve. In a tree-shaped tree every gate is a module, so without a
-// floor the plan would degenerate into one instance per gate and the
-// scheduling overhead would swamp the per-instance work.
+// floor the plan would degenerate into one quotient per gate.
 const DefaultMinEvents = 8
 
 // pseudoProbPlaceholder marks a pseudo-event whose real probability
-// arrives only when its module's solve completes (Execute substitutes
-// it via SetProb before the parent is submitted). Any valid interior
+// arrives only once its module is solved (the caller substitutes it
+// via SetProb before solving the parent). Any valid interior
 // probability works; solving a node with a placeholder still in place
 // is a bug.
 const pseudoProbPlaceholder = 0.5
@@ -43,27 +37,19 @@ type Options struct {
 	MinEvents int
 }
 
-// PlanNode is one schedulable sub-solve: a quotient tree rooted at a
-// module gate, in which every nested planned module appears as a
-// pseudo-basic-event reusing the module gate's id.
+// PlanNode is one sub-solve: a quotient tree rooted at a module gate,
+// in which every nested planned module appears as a pseudo-basic-event
+// reusing the module gate's id.
 type PlanNode struct {
-	// ID is the module gate's id in the original tree; the quotient
-	// tree's top. The root node's ID is the original top.
-	ID string
 	// Tree is the quotient: the module's own gates and events, with
 	// nested planned modules replaced by pseudo-events (their ids are
-	// listed in Children). Execute mutates the pseudo probabilities in
+	// listed in Children). Its top is the module gate; the root node's
+	// is the original top. Callers set the pseudo probabilities in
 	// place as children complete, so the tree must not be shared.
 	Tree *ft.Tree
 	// Children are the nested plan nodes, i.e. the pseudo-event ids in
 	// Tree, sorted.
 	Children []string
-	// Parent is the plan node whose quotient holds this module as a
-	// pseudo-event ("" for the root).
-	Parent string
-	// Events is the number of real basic events in Tree (pseudo-events
-	// excluded) — the size signal deadline shares are carved from.
-	Events int
 }
 
 // Plan is a modular decomposition: a DAG of quotient solves. Leaves
@@ -76,17 +62,11 @@ type Plan struct {
 	Order []string
 	// Root is the top node's id.
 	Root string
-	// TotalEvents is the number of real events across all nodes.
-	TotalEvents int
 }
 
-// Trivial reports whether the plan offers no decomposition (fewer than
-// two nodes) and the caller should keep the monolithic path.
-func (p *Plan) Trivial() bool { return p == nil || len(p.Nodes) < 2 }
-
-// BuildPlan computes the decomposition plan of a valid tree. The
-// returned plan is Trivial when the tree has no proper module meeting
-// opts.MinEvents — the caller then falls back to one monolithic solve.
+// BuildPlan computes the decomposition plan of a valid tree. When the
+// tree has no proper module meeting opts.MinEvents, the plan is the
+// root node alone, holding the whole tree.
 func BuildPlan(t *ft.Tree, opts Options) (*Plan, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -141,7 +121,7 @@ func BuildPlan(t *ft.Tree, opts Options) (*Plan, error) {
 	plan := &Plan{Nodes: make(map[string]*PlanNode), Root: t.Top()}
 	// Build quotient nodes from the top down; buildNode recurses into
 	// the selected modules it turns into pseudo-events.
-	if err := buildNode(t, t.Top(), "", selected, plan); err != nil {
+	if err := buildNode(t, t.Top(), selected, plan); err != nil {
 		return nil, err
 	}
 	// Bottom-up order by post-order over the child DAG.
@@ -153,16 +133,13 @@ func BuildPlan(t *ft.Tree, opts Options) (*Plan, error) {
 		plan.Order = append(plan.Order, id)
 	}
 	post(plan.Root)
-	for _, n := range plan.Nodes {
-		plan.TotalEvents += n.Events
-	}
 	return plan, nil
 }
 
 // buildNode constructs the quotient tree rooted at the module gate
 // root, descending into nested selected modules as separate nodes.
-func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *Plan) error {
-	node := &PlanNode{ID: root, Parent: parent, Tree: ft.New(t.Name() + "/" + root)}
+func buildNode(t *ft.Tree, root string, selected map[string]bool, plan *Plan) error {
+	node := &PlanNode{Tree: ft.New(t.Name() + "/" + root)}
 	plan.Nodes[root] = node
 
 	seen := make(map[string]bool)
@@ -180,10 +157,9 @@ func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *
 			if err := node.Tree.AddEvent(id, pseudoProbPlaceholder); err != nil {
 				return err
 			}
-			return buildNode(t, id, root, selected, plan)
+			return buildNode(t, id, selected, plan)
 		}
 		if e := t.Event(id); e != nil {
-			node.Events++
 			return node.Tree.AddEventDesc(e.ID, e.Description, e.Prob)
 		}
 		g := t.Gate(id)
@@ -205,29 +181,4 @@ func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *
 	}
 	sort.Strings(node.Children)
 	return nil
-}
-
-// Expand substitutes pseudo-events in the per-node cut sets into one
-// flat cut set of real basic events, starting from the root node's
-// set. cutSets maps node id to that node's quotient-level cut set.
-func (p *Plan) Expand(cutSets map[string][]string) []string {
-	var out []string
-	var expand func(nodeID string)
-	expand = func(nodeID string) {
-		node := p.Nodes[nodeID]
-		children := make(map[string]bool, len(node.Children))
-		for _, c := range node.Children {
-			children[c] = true
-		}
-		for _, id := range cutSets[nodeID] {
-			if children[id] {
-				expand(id)
-				continue
-			}
-			out = append(out, id)
-		}
-	}
-	expand(p.Root)
-	sort.Strings(out)
-	return out
 }

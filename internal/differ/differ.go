@@ -27,7 +27,9 @@
 //   - anytime soundness: a FEASIBLE (deadline-interrupted) answer's
 //     model is feasible, its cost bounds the optimum from above, its
 //     proven lower bound from below, and its decoded probability never
-//     beats the BDD oracle's exact optimum.
+//     beats the BDD oracle's exact optimum;
+//   - pipeline agreement: the answer core.Analyze ships, from the full
+//     race with shared bounds, matches the BDD oracle the same way.
 //
 // Disagreements are reported as Divergences, not errors: a divergence
 // is the harness working, and the caller (cmd/ftdiff, the fuzz targets,
@@ -86,23 +88,18 @@ const (
 	// CheckTopK marks a rank at which the MaxSAT blocking-clause
 	// enumeration and the BDD best-first enumeration disagree.
 	CheckTopK = "topk"
-	// CheckDecompose marks the modular-decomposition solve path
-	// disagreeing with the monolithic path on status, cost or
-	// probability.
-	CheckDecompose = "decompose"
+	// CheckPipeline marks the default core.Analyze answer (one
+	// portfolio race over shared bounds, then the decode) disagreeing
+	// with the BDD oracle: an OPTIMAL probability off the optimum, a
+	// FEASIBLE one above it, or ErrNoCutSet where the oracle finds a
+	// cut set (or the reverse).
+	CheckPipeline = "pipeline"
 )
 
 // ProbTolerance is the relative tolerance for probability comparisons
 // against the BDD oracle; it matches the tolerance the core package
 // uses when cross-checking MaxSAT against the BDD baseline.
 const ProbTolerance = 1e-9
-
-// DecomposeTolerance is the relative tolerance for the decomposed vs
-// monolithic cross-check. It is looser than ProbTolerance because the
-// two paths round −ln(p) to scaled integers per sub-instance vs once
-// globally, so near-ties can resolve to cut sets whose probabilities
-// differ by the rounding granularity (~1e-7 relative at DefaultScale).
-const DecomposeTolerance = 1e-6
 
 // Options configures a differential check. The zero value selects the
 // full default portfolio and no top-k pass.
@@ -442,59 +439,44 @@ func CheckTree(ctx context.Context, tree *ft.Tree, opts Options) (*Report, error
 	if opts.TopK > 0 && oracleErr == nil {
 		checkTopK(ctx, tree, opts, r)
 	}
-	checkDecomposition(ctx, tree, opts, r)
+	checkPipeline(ctx, tree, opts, oracle, oracleErr, r)
 	return r, nil
 }
 
-// checkDecomposition is the guard for the modular solve path: the
-// planner/scheduler pipeline and the monolithic single-instance solve
-// must agree on feasibility, cost and probability on every tree. The
-// module-size floor is forced down so even small fuzz trees exercise
-// the quotient construction.
-func checkDecomposition(ctx context.Context, tree *ft.Tree, opts Options, r *Report) {
-	copts := opts.coreOptions()
-	copts.Timeout = opts.Timeout
-	copts.DecomposeMinEvents = 2
-	dec, decErr := core.Analyze(ctx, tree, copts)
-	copts.NoDecompose = true
-	mono, monoErr := core.Analyze(ctx, tree, copts)
-
+// checkPipeline holds the answer the pipeline actually ships — the
+// default core.Analyze, whose engines race over shared
+// portfolio.Bounds — to the BDD oracle. solveAll runs each engine
+// alone, so only this check sees the race: a cooperative optimality
+// proof, a synthesized anytime answer, the decode of the winner.
+// oracleErr is ErrNoCutSet or ErrZeroProbability when no cut set of
+// positive probability exists; p = 0 events are hard in the MaxSAT
+// instance, so the pipeline must then report ErrNoCutSet.
+func checkPipeline(ctx context.Context, tree *ft.Tree, opts Options, oracle *core.Solution, oracleErr error, r *Report) {
+	sol, err := core.Analyze(ctx, tree, core.Options{
+		Engines:           opts.Engines,
+		PlaistedGreenbaum: opts.PlaistedGreenbaum,
+		Timeout:           opts.Timeout,
+	})
 	switch {
-	case decErr != nil && monoErr != nil:
-		// Both paths failed: either the top event cannot occur (both
-		// ErrNoCutSet — agreement) or the budget ran out for both (a
-		// fuzz artefact, not a disagreement).
-		return
-	case decErr != nil:
-		if ctx.Err() != nil {
-			return
+	case errors.Is(err, core.ErrNoCutSet):
+		if oracleErr == nil {
+			r.diverge(CheckPipeline, "", "no cut set, but BDD oracle found p=%g", oracle.Probability)
 		}
-		r.diverge(CheckDecompose, "", "decomposed solve failed (%v) but monolithic found p=%g", decErr, mono.Probability)
-		return
-	case monoErr != nil:
-		if ctx.Err() != nil {
-			return
+	case errors.Is(err, core.ErrNoAnswer):
+		// The budget ran out before any answer: not a disagreement.
+	case err != nil:
+		r.diverge(CheckPipeline, "", "analysis failed: %v", err)
+	case oracleErr != nil:
+		r.diverge(CheckPipeline, "", "%s p=%g %v, but BDD oracle reports no cut set",
+			sol.Status, sol.Probability, sol.CutSetIDs())
+	case sol.Status == maxsat.Optimal.String():
+		if !probEqual(sol.Probability, oracle.Probability) {
+			r.diverge(CheckPipeline, "", "OPTIMAL p=%g %v, BDD oracle optimum p=%g",
+				sol.Probability, sol.CutSetIDs(), oracle.Probability)
 		}
-		r.diverge(CheckDecompose, "", "monolithic solve failed (%v) but decomposed found p=%g", monoErr, dec.Probability)
-		return
-	}
-
-	if dec.Status == "OPTIMAL" && mono.Status == "OPTIMAL" {
-		if !fp.EqTol(dec.Probability, mono.Probability, DecomposeTolerance) {
-			r.diverge(CheckDecompose, "", "decomposed p=%g (%v), monolithic p=%g (%v)",
-				dec.Probability, dec.CutSetIDs(), mono.Probability, mono.CutSetIDs())
-		}
-		if !fp.EqTol(dec.LogCost, mono.LogCost, DecomposeTolerance) {
-			r.diverge(CheckDecompose, "", "decomposed logCost=%g, monolithic logCost=%g", dec.LogCost, mono.LogCost)
-		}
-		return
-	}
-	// An anytime (FEASIBLE) answer on either side is a budget artefact,
-	// but a decomposed incumbent must still never beat a proven
-	// monolithic optimum.
-	if mono.Status == "OPTIMAL" && dec.Probability > mono.Probability*(1+DecomposeTolerance) {
-		r.diverge(CheckDecompose, "", "decomposed anytime p=%g exceeds monolithic optimum p=%g",
-			dec.Probability, mono.Probability)
+	case sol.Probability > oracle.Probability*(1+ProbTolerance)+1e-300:
+		r.diverge(CheckPipeline, "", "%s p=%g %v exceeds BDD oracle optimum p=%g",
+			sol.Status, sol.Probability, sol.CutSetIDs(), oracle.Probability)
 	}
 }
 

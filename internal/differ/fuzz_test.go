@@ -31,8 +31,7 @@ func FuzzDifferential(f *testing.F) {
 	f.Add(int64(42), 12, 3, 60, 30, false)
 	f.Add(int64(7), 5, 2, 20, 0, true)
 	f.Add(int64(1234), 10, 5, 50, 100, false)
-	// Deeply modular: no sharing and fan-in 2 make every gate a module,
-	// driving the decomposed-vs-monolithic guard through nested plans.
+	// Deeply modular: no sharing and fan-in 2 make every gate a module.
 	f.Add(int64(77), 10, 4, 50, 0, true)
 	f.Fuzz(func(t *testing.T, seed int64, events, fanIn, andBias, votingFrac int, noSharing bool) {
 		cfg := gen.Config{

@@ -146,6 +146,52 @@ func TestInjectedDivergencesFire(t *testing.T) {
 	}
 }
 
+// boundLiar answers honestly when solved alone, as the per-engine
+// checks run it. In a race it returns a sub-optimal incumbent (forced
+// by extra hard units) and publishes that incumbent's cost as a proven
+// lower bound, so the race certifies it OPTIMAL.
+type boundLiar struct{ forcedSolver }
+
+func (b *boundLiar) Solve(ctx context.Context, inst *cnf.WCNF) (maxsat.Result, error) {
+	return b.inner.Solve(ctx, inst)
+}
+
+func (b *boundLiar) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog maxsat.Progress) (maxsat.Result, error) {
+	res, err := b.forcedSolver.Solve(ctx, inst)
+	if err != nil || res.Status != maxsat.Optimal {
+		return res, err
+	}
+	prog.PublishModel(res.Cost, res.Model)
+	prog.PublishLower(res.Cost)
+	res.Status = maxsat.Feasible
+	return res, nil
+}
+
+// TestInjectedPipelineDivergence: a fault that only the raced answer
+// shows — a lying lower bound turned into a cooperative optimality
+// proof — is caught by the pipeline check and by no per-engine check.
+func TestInjectedPipelineDivergence(t *testing.T) {
+	tree := gen.FPS()
+	steps, err := core.BuildSteps(tree, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Keeping x1 up rules out the MPMCS {x1,x2} (p = 0.02).
+	liar := &boundLiar{forcedSolver{inner: &maxsat.LinearSU{}, force: []cnf.Lit{cnf.Lit(steps.Encoding.VarOf["x1"])}}}
+	rep, err := CheckTree(context.Background(), tree, Options{Engines: []portfolio.Engine{{Name: "mutant", Solver: liar}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Divergences) == 0 {
+		t.Fatalf("lying bound went undetected:\n%s", rep)
+	}
+	for _, d := range rep.Divergences {
+		if d.Check != CheckPipeline {
+			t.Errorf("check %q fired; want only %q:\n%s", d.Check, CheckPipeline, rep)
+		}
+	}
+}
+
 // TestInjectedWCNFDivergence: the raw-WCNF entry point catches a cost
 // lie without any tree-side oracle.
 func TestInjectedWCNFDivergence(t *testing.T) {

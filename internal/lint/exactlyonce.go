@@ -6,8 +6,8 @@ import (
 )
 
 // ExactlyOnce enforces the result-delivery contract between sched.Pool
-// tasks and their consumers in the decomp executor and the serve
-// handlers. Pool.Submit guarantees an accepted task runs exactly once —
+// tasks and their consumers in the serve handlers. Pool.Submit
+// guarantees an accepted task runs exactly once —
 // but only if the task can actually finish. A task (or handler) that
 // sends its result on an unbuffered channel wedges a pool worker
 // forever when the consumer has already given up (client disconnect,
@@ -15,24 +15,24 @@ import (
 // request. The two safe shapes, both used by the shipped code, are:
 //
 //   - send on a channel provably buffered for every send it receives
-//     (make(chan T, 1) per task, or make(chan T, len(plan.Nodes)) for a
+//     (make(chan T, 1) per task, or make(chan T, len(items)) for a
 //     fan-in) — the send completes regardless of the consumer;
 //   - send inside a select that also watches ctx.Done() (or has a
 //     default), so abandonment cancels the send.
 //
-// Every other send statement in decomp/serve is a finding. Buffering is
+// Every other send statement in serve is a finding. Buffering is
 // resolved through closure boundaries: a channel made in the enclosing
 // function and sent on inside the submitted task closure counts,
 // because the make and the send share one variable.
 var ExactlyOnce = &Analyzer{
 	Name: "exactlyonce",
-	Doc: "sends in decomp/serve must use a provably-buffered channel or " +
+	Doc: "sends in serve must use a provably-buffered channel or " +
 		"a select with ctx.Done()/default, so abandoned consumers cannot wedge pool workers",
 	Run: runExactlyOnce,
 }
 
 func runExactlyOnce(pass *Pass) {
-	if !pathEndsIn(pass.Pkg.Path, "decomp", "serve") {
+	if !pathEndsIn(pass.Pkg.Path, "serve") {
 		return
 	}
 	info := pass.Pkg.Info

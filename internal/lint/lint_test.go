@@ -13,7 +13,7 @@ func TestSpanClose(t *testing.T)     { runAnalyzerTest(t, SpanClose, "spans") }
 func TestGoroutineWait(t *testing.T) { runAnalyzerTest(t, GoroutineWait, "portfolio") }
 func TestArenaRef(t *testing.T)      { runAnalyzerTest(t, ArenaRef, "arena") }
 func TestLockOrder(t *testing.T)     { runAnalyzerTest(t, LockOrder, "sched") }
-func TestExactlyOnce(t *testing.T)   { runAnalyzerTest(t, ExactlyOnce, "decomp") }
+func TestExactlyOnce(t *testing.T)   { runAnalyzerTest(t, ExactlyOnce, "exactlyonce/serve") }
 func TestErrTaxonomy(t *testing.T)   { runAnalyzerTest(t, ErrTaxonomy, "errtax", "serve") }
 
 // TestIgnoreDirectives proves the suppression contract: reasons are

@@ -6,7 +6,7 @@ import (
 )
 
 // LockOrder enforces two deadlock invariants across the service-side
-// packages (serve, sched, decomp, portfolio, obs):
+// packages (serve, sched, portfolio, obs):
 //
 //  1. Consistent lock ordering. Every observed nested acquisition —
 //     taking mutex B while holding mutex A, directly or through a
@@ -40,7 +40,7 @@ var LockOrder = &Analyzer{
 // lockOrderScope is the package set whose lock graphs compose; the
 // solver core manages no cross-goroutine mutexes on its hot path.
 func lockOrderScope(path string) bool {
-	return pathEndsIn(path, "serve", "sched", "decomp", "portfolio", "obs")
+	return pathEndsIn(path, "serve", "sched", "portfolio", "obs")
 }
 
 // lockEdge is one observed nested acquisition: to was locked while from

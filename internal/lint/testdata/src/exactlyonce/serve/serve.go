@@ -1,7 +1,7 @@
-// Package decomp is the exactlyonce golden: a send that is neither
+// Package serve is the exactlyonce golden: a send that is neither
 // provably buffered nor guarded by ctx.Done()/default can wedge a pool
 // worker forever once the consumer gives up.
-package decomp
+package serve
 
 import "context"
 

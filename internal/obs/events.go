@@ -314,8 +314,6 @@ const (
 	KindBoundImproved  = "boundImproved"
 	KindRestartFired   = "restartFired"
 	KindHeartbeat      = "heartbeat"
-	KindModuleStarted  = "moduleStarted"
-	KindModuleFinished = "moduleFinished"
 )
 
 // SolveStarted opens one MaxSAT solve: the instance dimensions the
@@ -393,42 +391,6 @@ type RestartFired struct {
 
 // EventKind implements EventPayload.
 func (RestartFired) EventKind() string { return KindRestartFired }
-
-// ModuleStarted opens one node of a modular decomposition plan: an
-// independent sub-tree about to be solved as its own MaxSAT instance.
-// Engine-level events published while the module solves carry the same
-// bus, so a subscriber can attribute them by bracketing between the
-// module's start and finish frames.
-type ModuleStarted struct {
-	// Module is the module gate's id in the original tree.
-	Module string `json:"module"`
-	// Events is the number of real basic events in the module's
-	// quotient (nested modules count as one pseudo-event each).
-	Events int `json:"events"`
-	// Children lists nested modules already solved and substituted as
-	// pseudo-events.
-	Children []string `json:"children,omitempty"`
-}
-
-// EventKind implements EventPayload.
-func (ModuleStarted) EventKind() string { return KindModuleStarted }
-
-// ModuleFinished closes one decomposition-plan node with its local
-// verdict; the analysis-level terminal frame is still SolveFinished.
-type ModuleFinished struct {
-	Module string `json:"module"`
-	Status string `json:"status"`
-	// Probability is the module's MPMCS probability — the value it
-	// contributes to its parent as a pseudo-event (0 when the module
-	// can never occur).
-	Probability float64 `json:"probability"`
-	Winner      string  `json:"winner,omitempty"`
-	ElapsedMS   float64 `json:"elapsedMillis"`
-	Err         string  `json:"err,omitempty"`
-}
-
-// EventKind implements EventPayload.
-func (ModuleFinished) EventKind() string { return KindModuleFinished }
 
 // Heartbeat is a periodic snapshot of a running engine's work
 // counters (since the engine's last counter reset — for the SAT-backed

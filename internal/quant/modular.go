@@ -15,8 +15,8 @@ import (
 // extending exact analysis to trees where TopEventProbability exhausts
 // its node budget — at equal results wherever both complete.
 //
-// The quotient trees are those of the MaxSAT path's decomposition plan,
-// with every module its own plan node.
+// The quotient trees come from decomp.BuildPlan with every module its
+// own plan node.
 func ModularProbability(t *ft.Tree) (float64, error) {
 	plan, err := decomp.BuildPlan(t, decomp.Options{MinEvents: 1})
 	if err != nil {

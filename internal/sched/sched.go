@@ -1,9 +1,7 @@
-// Package sched provides the shared-budget batch scheduler underneath
-// both multi-solve workloads: a fixed pool of workers executes
-// submitted tasks concurrently, so one worker budget covers a whole
-// decomposition plan (internal/decomp) or the request stream of the
-// analysis service (internal/serve) — throughput is bounded by the
-// pool size, never by how many tasks arrive.
+// Package sched provides the fixed worker pool underneath the
+// analysis service (internal/serve): submitted tasks run concurrently
+// on a bounded set of workers, so throughput is bounded by the pool
+// size, never by how many requests arrive.
 //
 // The pool is deliberately small in concept: Submit enqueues a task and
 // applies backpressure when every worker is busy and the queue is full;
@@ -12,11 +10,6 @@
 // context it was submitted under and is expected to honour it; Submit
 // itself aborts (instead of blocking forever) when that context dies
 // while the queue is full.
-//
-// Deadline budgeting is a separate, composable concern: Carve derives a
-// child context holding a share of the parent's remaining time, the
-// mechanism by which a plan node gets a bounded slice of the overall
-// budget instead of starving its siblings.
 package sched
 
 import (
@@ -158,31 +151,4 @@ func (p *Pool) Close() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
-}
-
-// Carve derives a context holding a share of the parent's remaining
-// deadline budget: share ∈ (0,1] of the time left, but never less than
-// floor (so a node scheduled late still gets a workable slice — the
-// parent deadline itself still caps it). A parent without a deadline
-// yields a plain cancellable child: no budget to carve. The returned
-// cancel must be called.
-func Carve(ctx context.Context, share float64, floor time.Duration) (context.Context, context.CancelFunc) {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return context.WithCancel(ctx)
-	}
-	if share <= 0 {
-		share = 1
-	} else if share > 1 {
-		share = 1
-	}
-	remaining := time.Until(deadline)
-	slice := time.Duration(float64(remaining) * share)
-	if slice < floor {
-		slice = floor
-	}
-	if slice > remaining {
-		slice = remaining
-	}
-	return context.WithDeadline(ctx, time.Now().Add(slice))
 }

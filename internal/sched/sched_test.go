@@ -199,61 +199,3 @@ func TestPoolNoGoroutineLeakUnderCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// TestCarve: the deadline carving arithmetic.
-func TestCarve(t *testing.T) {
-	t.Run("no parent deadline", func(t *testing.T) {
-		ctx, cancel := Carve(context.Background(), 0.5, time.Second)
-		defer cancel()
-		if _, ok := ctx.Deadline(); ok {
-			t.Fatal("child grew a deadline from a deadline-less parent")
-		}
-	})
-
-	t.Run("share of remaining", func(t *testing.T) {
-		parent, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		child, childCancel := Carve(parent, 0.5, 0)
-		defer childCancel()
-		d, ok := child.Deadline()
-		if !ok {
-			t.Fatal("child has no deadline")
-		}
-		slice := time.Until(d)
-		if slice < 20*time.Second || slice > 35*time.Second {
-			t.Fatalf("slice %v, want ≈30s", slice)
-		}
-	})
-
-	t.Run("floor applies but parent still caps", func(t *testing.T) {
-		parent, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		defer cancel()
-		child, childCancel := Carve(parent, 0.01, time.Minute)
-		defer childCancel()
-		d, _ := child.Deadline()
-		pd, _ := parent.Deadline()
-		if d.After(pd) {
-			t.Fatalf("child deadline %v escapes parent %v", d, pd)
-		}
-		if time.Until(d) < 50*time.Millisecond {
-			t.Fatalf("floor not applied: slice %v", time.Until(d))
-		}
-	})
-
-	t.Run("degenerate shares clamp", func(t *testing.T) {
-		parent, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		for _, share := range []float64{-1, 0, 2} {
-			child, childCancel := Carve(parent, share, 0)
-			d, ok := child.Deadline()
-			if !ok {
-				t.Fatalf("share %v: no deadline", share)
-			}
-			pd, _ := parent.Deadline()
-			if d.After(pd) {
-				t.Fatalf("share %v: child deadline escapes parent", share)
-			}
-			childCancel()
-		}
-	})
-}

@@ -59,8 +59,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// CacheEntries bounds the solution cache (default 1024).
 	CacheEntries int
-	// Core is the base analysis configuration (engines, encoding,
-	// decomposition). Timeout, Bus and Metrics are per-request concerns
+	// Core is the base analysis configuration (engines, sequential
+	// race, encoding). Timeout, Bus and Metrics are per-request concerns
 	// the server manages itself and overrides.
 	Core core.Options
 	// Metrics receives service and solver counters; created if nil.

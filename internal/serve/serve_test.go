@@ -329,7 +329,7 @@ func TestNoAnswerIs504AndNeverCached(t *testing.T) {
 // FEASIBLE carries the anytime contract fields and is not cached.
 func TestFeasibleCarriesGapAndIsNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1,
-		Core: core.Options{Sequential: true, NoDecompose: true, Engines: engines(feasibleSolver{})}})
+		Core: core.Options{Sequential: true, Engines: engines(feasibleSolver{})}})
 	body := treeJSON(t, gen.FPS())
 
 	doc, code := postTree(t, ts.URL+"/v1/analyze", body)

@@ -297,7 +297,8 @@ func RandomTree(cfg RandomTreeConfig) (*Tree, error) { return gen.Random(cfg) }
 
 // ModularTree generates a tree with a known number of independent
 // modules under the top gate — the ground-truth workload for the
-// decomposition planner and the modular benchmark workload.
+// decomposition planner (decomp.BuildPlan, ModularProbability) and the
+// modular benchmark workload.
 func ModularTree(cfg ModularTreeConfig) (*Tree, error) { return gen.Modular(cfg) }
 
 // ExampleFPS returns the paper's Fig. 1 Fire Protection System tree

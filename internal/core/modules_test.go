@@ -164,21 +164,14 @@ func TestAnalyzeModularTreesMatchBDD(t *testing.T) {
 	}
 }
 
-// An analysis whose deadline has already passed either still answers
-// (an engine may finish a small instance before it first polls the
-// context) or reports ErrNoAnswer with the deadline, never another
-// error.
+// An analysis whose deadline has already passed, with an engine that
+// cannot answer, reports ErrNoAnswer with the deadline on the module
+// path too, never another error.
 func TestAnalyzeExpiredDeadlineIsNoAnswer(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	tree := readModuleTree(t, moduleTrees[0].text)
-	sol, err := Analyze(ctx, tree, Options{Sequential: true})
-	if err == nil {
-		if verr := VerifySolution(tree, sol); verr != nil {
-			t.Fatal(verr)
-		}
-		return
-	}
+	_, err := Analyze(ctx, tree, Options{Sequential: true, Engines: blockingEngines()})
 	if !errors.Is(err, ErrNoAnswer) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want ErrNoAnswer wrapping context.DeadlineExceeded", err)
 	}

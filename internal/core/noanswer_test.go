@@ -94,23 +94,18 @@ func TestAnalyzeTopKCompleteExhausted(t *testing.T) {
 	}
 }
 
-// An expired real deadline must never surface as ErrNoCutSet either —
-// whatever error shape the portfolio reports, it is about the budget.
+// An expired real deadline must never surface as ErrNoCutSet either:
+// with an engine that cannot answer, AnalyzeTopK reports ErrNoAnswer
+// carrying the deadline.
 func TestAnalyzeTopKExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	sols, err := AnalyzeTopK(ctx, gen.FPS(), 3, Options{Sequential: true})
-	if err == nil {
-		if len(sols) == 0 {
-			t.Fatal("nil error with zero solutions")
-		}
-		t.Skip("solver answered despite the expired deadline")
-	}
+	_, err := AnalyzeTopK(ctx, gen.FPS(), 3, Options{Sequential: true, Engines: blockingEngines()})
 	if errors.Is(err, ErrNoCutSet) {
 		t.Fatalf("expired deadline misclassified as ErrNoCutSet: %v", err)
 	}
-	if !errors.Is(err, ErrNoAnswer) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("error %v carries neither ErrNoAnswer nor DeadlineExceeded", err)
+	if !errors.Is(err, ErrNoAnswer) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want ErrNoAnswer wrapping context.DeadlineExceeded", err)
 	}
 }
 
@@ -161,13 +156,17 @@ func (blockingSolver) Solve(ctx context.Context, _ *cnf.WCNF) (maxsat.Result, er
 	return maxsat.Result{Status: maxsat.Unknown}, ctx.Err()
 }
 
+func blockingEngines() []portfolio.Engine {
+	return []portfolio.Engine{{Name: "blocking-fake", Solver: blockingSolver{}}}
+}
+
 // Options.Timeout must bound every analysis entry point, not just
 // Analyze and AnalyzeTopK: each call returns ErrNoAnswer carrying the
 // deadline instead of running until the engine gives up on its own.
 func TestTimeoutBoundsEveryEntryPoint(t *testing.T) {
 	opts := Options{
 		Timeout: 50 * time.Millisecond,
-		Engines: []portfolio.Engine{{Name: "blocking-fake", Solver: blockingSolver{}}},
+		Engines: blockingEngines(),
 	}
 	ctx := context.Background()
 	tree := gen.FPS()

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -117,60 +116,65 @@ func (t *Tree) AddEvent(id string, prob float64) error {
 
 // AddEventDesc adds a basic event with a human-readable description.
 func (t *Tree) AddEventDesc(id, desc string, prob float64) error {
-	if err := t.checkNewID(id); err != nil {
+	return t.addEvent(&BasicEvent{ID: id, Description: desc, Prob: prob})
+}
+
+// addEvent checks and stores e, which the tree then owns.
+func (t *Tree) addEvent(e *BasicEvent) error {
+	if err := t.checkNewID(e.ID); err != nil {
 		return err
 	}
-	if math.IsNaN(prob) || prob < 0 || prob > 1 {
-		return fmt.Errorf("%w: event %q has probability %v", ErrBadProb, id, prob)
+	if math.IsNaN(e.Prob) || e.Prob < 0 || e.Prob > 1 {
+		return fmt.Errorf("%w: event %q has probability %v", ErrBadProb, e.ID, e.Prob)
 	}
-	t.events[id] = &BasicEvent{ID: id, Description: desc, Prob: prob}
-	t.order = append(t.order, id)
+	t.events[e.ID] = e
+	t.order = append(t.order, e.ID)
 	t.valid.Store(false)
 	return nil
 }
 
 // AddAnd adds an AND gate over the given inputs.
 func (t *Tree) AddAnd(id string, inputs ...string) error {
-	return t.addGate(id, "", GateAnd, 0, inputs)
+	return t.AddGate(id, "", GateAnd, 0, inputs...)
 }
 
 // AddOr adds an OR gate over the given inputs.
 func (t *Tree) AddOr(id string, inputs ...string) error {
-	return t.addGate(id, "", GateOr, 0, inputs)
+	return t.AddGate(id, "", GateOr, 0, inputs...)
 }
 
 // AddVoting adds a K-of-N voting gate: true when at least k inputs are
 // true.
 func (t *Tree) AddVoting(id string, k int, inputs ...string) error {
-	return t.addGate(id, "", GateVoting, k, inputs)
+	return t.AddGate(id, "", GateVoting, k, inputs...)
 }
 
 // AddGate adds a gate of arbitrary type with a description. For
-// non-voting gates k is ignored.
+// non-voting gates k is ignored. The tree keeps its own copy of inputs.
 func (t *Tree) AddGate(id, desc string, typ GateType, k int, inputs ...string) error {
-	return t.addGate(id, desc, typ, k, inputs)
+	return t.addGate(&Gate{ID: id, Description: desc, Type: typ, K: k, Inputs: append([]string(nil), inputs...)})
 }
 
-func (t *Tree) addGate(id, desc string, typ GateType, k int, inputs []string) error {
-	if err := t.checkNewID(id); err != nil {
+// addGate checks and stores g, which the tree then owns, Inputs
+// included.
+func (t *Tree) addGate(g *Gate) error {
+	if err := t.checkNewID(g.ID); err != nil {
 		return err
 	}
-	if typ != GateAnd && typ != GateOr && typ != GateVoting {
-		return fmt.Errorf("ft: gate %q has unknown type %d", id, int(typ))
+	if g.Type != GateAnd && g.Type != GateOr && g.Type != GateVoting {
+		return fmt.Errorf("ft: gate %q has unknown type %d", g.ID, int(g.Type))
 	}
-	if len(inputs) == 0 {
-		return fmt.Errorf("%w: gate %q", ErrNoInputs, id)
+	if len(g.Inputs) == 0 {
+		return fmt.Errorf("%w: gate %q", ErrNoInputs, g.ID)
 	}
-	if typ == GateVoting && (k < 1 || k > len(inputs)) {
-		return fmt.Errorf("%w: gate %q has k=%d over %d inputs", ErrBadThreshold, id, k, len(inputs))
+	if g.Type == GateVoting && (g.K < 1 || g.K > len(g.Inputs)) {
+		return fmt.Errorf("%w: gate %q has k=%d over %d inputs", ErrBadThreshold, g.ID, g.K, len(g.Inputs))
 	}
-	if typ != GateVoting {
-		k = 0
+	if g.Type != GateVoting {
+		g.K = 0
 	}
-	in := make([]string, len(inputs))
-	copy(in, inputs)
-	t.gates[id] = &Gate{ID: id, Description: desc, Type: typ, K: k, Inputs: in}
-	t.order = append(t.order, id)
+	t.gates[g.ID] = g
+	t.order = append(t.order, g.ID)
 	t.valid.Store(false)
 	return nil
 }
@@ -196,9 +200,11 @@ func (t *Tree) Gate(id string) *Gate { return t.gates[id] }
 
 // HasNode reports whether id names an event or a gate.
 func (t *Tree) HasNode(id string) bool {
-	_, isEvent := t.events[id]
-	_, isGate := t.gates[id]
-	return isEvent || isGate
+	if _, ok := t.events[id]; ok {
+		return true
+	}
+	_, ok := t.gates[id]
+	return ok
 }
 
 // Events returns the basic events in insertion order. The returned slice
@@ -278,7 +284,13 @@ func (t *Tree) validate() error {
 	if _, ok := t.events[t.top]; ok {
 		return fmt.Errorf("%w: %q", ErrTopIsEvent, t.top)
 	}
-	for _, g := range t.gates {
+	// Gates in insertion order, so the first problem reported is the
+	// same on every run.
+	for _, id := range t.order {
+		g, ok := t.gates[id]
+		if !ok {
+			continue
+		}
 		for _, in := range g.Inputs {
 			if !t.HasNode(in) {
 				return fmt.Errorf("%w: gate %q references %q", ErrUnknownNode, g.ID, in)
@@ -293,7 +305,7 @@ func (t *Tree) checkAcyclic() error {
 		inProgress = 1
 		done       = 2
 	)
-	state := make(map[string]int, len(t.gates))
+	state := make(map[string]uint8, len(t.gates))
 	var visit func(id string) error
 	visit = func(id string) error {
 		g, ok := t.gates[id]
@@ -315,13 +327,9 @@ func (t *Tree) checkAcyclic() error {
 		state[id] = done
 		return nil
 	}
-	// Check from every gate so cycles in unreachable islands are caught.
-	ids := make([]string, 0, len(t.gates))
-	for id := range t.gates {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	// Start from every gate, in insertion order, so cycles in
+	// unreachable islands are caught and the error is deterministic.
+	for _, id := range t.order {
 		if err := visit(id); err != nil {
 			return err
 		}

@@ -2,8 +2,9 @@ package ft_test
 
 // External tests of the input layer on the generator's trees: pinned
 // canonical hashes (the mpmcsd cache key and the
-// GET /v1/solutions/{hash} address). They live outside package ft
-// because internal/gen imports it.
+// GET /v1/solutions/{hash} address) and a deterministic allocation
+// bound on parse + hash. They live outside package ft because
+// internal/gen imports it.
 
 import (
 	"bytes"
@@ -13,7 +14,8 @@ import (
 	"mpmcs4fta/internal/gen"
 )
 
-// pinned300 is the 300-event random tree among the golden trees.
+// pinned300 is the 300-event random tree the golden and allocation
+// tests share.
 func pinned300(t testing.TB) *ft.Tree {
 	t.Helper()
 	tree, err := gen.Random(gen.Config{Events: 300, VotingFrac: 0.1, Seed: 7})
@@ -61,5 +63,31 @@ func TestCanonicalHashGolden(t *testing.T) {
 				t.Errorf("after a JSON round trip: hash = %s (%v), want %s", got, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestInputAllocsGuard bounds the allocations of reading and hashing
+// the pinned 300-event tree: the work of a cache hit before the
+// response. The count repeats exactly, unlike a timing. The encoding/json
+// reader with a per-node hasher took 4,193; this reader and hasher take about 40.
+func TestInputAllocsGuard(t *testing.T) {
+	var buf bytes.Buffer
+	if err := pinned300(t).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	const bound = 200
+	allocs := testing.AllocsPerRun(20, func() {
+		tree, err := ft.ReadJSON(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ft.CanonicalHash(tree); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadJSON + CanonicalHash: %.0f allocs", allocs)
+	if allocs > bound {
+		t.Errorf("ReadJSON + CanonicalHash: %.0f allocs, bound %d", allocs, bound)
 	}
 }

@@ -1,12 +1,13 @@
 package ft
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // CanonicalHash returns a content address for the tree's analysis
@@ -38,55 +39,70 @@ func CanonicalHash(t *Tree) (string, error) {
 	if err := t.Validate(); err != nil {
 		return "", err
 	}
-	memo := make(map[string][sha256.Size]byte, len(t.gates)+len(t.events))
-	root := t.hashNode(t.top, memo)
-	sum := sha256.Sum256(append([]byte("mpmcs4fta-tree-v1\x00"), root[:]...))
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	h := treeHasher{t: t, memo: make(map[string][sha256.Size]byte, len(t.gates)+len(t.events))}
+	root := h.node(t.top)
+	sum := sha256.Sum256(append(append(h.buf[:0], "mpmcs4fta-tree-v1\x00"...), root[:]...))
+	var out [len("sha256:") + 2*sha256.Size]byte
+	copy(out[:], "sha256:")
+	hex.Encode(out[len("sha256:"):], sum[:])
+	return string(out[:]), nil
 }
 
-// hashNode computes the Merkle digest of one node. Events hash their
+// treeHasher computes the Merkle digests of one tree. Its byte buffer
+// and child-digest stack are reused across nodes, so a node costs no
+// allocation beyond its memo entry.
+type treeHasher struct {
+	t     *Tree
+	memo  map[string][sha256.Size]byte
+	buf   []byte              // the preimage of the node being hashed
+	stack [][sha256.Size]byte // child digests of the gates on the path
+}
+
+// node computes the Merkle digest of one node. Events hash their
 // identity and probability bits; gates hash their type, threshold and
 // the sorted child digests. The tree is validated, so every id resolves
 // and the recursion terminates (no cycles).
-func (t *Tree) hashNode(id string, memo map[string][sha256.Size]byte) [sha256.Size]byte {
-	if sum, ok := memo[id]; ok {
+func (h *treeHasher) node(id string) [sha256.Size]byte {
+	if sum, ok := h.memo[id]; ok {
 		return sum
 	}
-	h := sha256.New()
-	if e, ok := t.events[id]; ok {
-		h.Write([]byte("event\x00"))
-		writeLenPrefixed(h, e.ID)
-		writeLenPrefixed(h, e.Description)
-		var bits [8]byte
-		binary.BigEndian.PutUint64(bits[:], probBits(e.Prob))
-		h.Write(bits[:])
+	buf := h.buf[:0]
+	if e, ok := h.t.events[id]; ok {
+		buf = append(buf, "event\x00"...)
+		buf = appendLenPrefixed(buf, e.ID)
+		buf = appendLenPrefixed(buf, e.Description)
+		buf = binary.BigEndian.AppendUint64(buf, probBits(e.Prob))
 	} else {
-		g := t.gates[id]
-		fmt.Fprintf(h, "gate\x00%d\x00%d\x00%d\x00", int(g.Type), g.K, len(g.Inputs))
-		children := make([][sha256.Size]byte, len(g.Inputs))
-		for i, in := range g.Inputs {
-			children[i] = t.hashNode(in, memo)
+		g := h.t.gates[id]
+		base := len(h.stack)
+		for _, in := range g.Inputs {
+			child := h.node(in)
+			h.stack = append(h.stack, child)
 		}
-		sort.Slice(children, func(i, j int) bool {
-			return string(children[i][:]) < string(children[j][:])
-		})
+		children := h.stack[base:]
+		slices.SortFunc(children, func(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
+		// The children reused h.buf, so the preimage starts only now.
+		buf = append(h.buf[:0], "gate\x00"...)
+		for _, n := range [...]int{int(g.Type), g.K, len(g.Inputs)} {
+			buf = strconv.AppendInt(buf, int64(n), 10)
+			buf = append(buf, 0)
+		}
 		for _, c := range children {
-			h.Write(c[:])
+			buf = append(buf, c[:]...)
 		}
+		h.stack = h.stack[:base]
 	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	memo[id] = sum
+	h.buf = buf
+	sum := sha256.Sum256(buf)
+	h.memo[id] = sum
 	return sum
 }
 
-// writeLenPrefixed writes a length-prefixed string so concatenated
+// appendLenPrefixed appends a length-prefixed string so concatenated
 // fields cannot alias each other ("ab"+"c" vs "a"+"bc").
-func writeLenPrefixed(h interface{ Write([]byte) (int, error) }, s string) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+func appendLenPrefixed(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
 }
 
 // probBits canonicalizes a probability to its IEEE-754 bit pattern.

@@ -1,13 +1,21 @@
 package serve
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // cache is the content-addressed solution store: canonical tree hash
-// (plus a "#k=N" suffix for enumerations) → finished solution
-// document. Only definitive documents (OPTIMAL, INFEASIBLE — see
-// Definitive) belong here; the server enforces that at the call site,
-// because a cached FEASIBLE or NO_ANSWER would freeze a budget
-// artefact into a permanent answer.
+// (plus a "#k=N" suffix for enumerations) → finished response. Only
+// definitive documents (OPTIMAL, INFEASIBLE — see Definitive) belong
+// here; the server enforces that at the call site, because a cached
+// FEASIBLE or NO_ANSWER would freeze a budget artefact into a permanent
+// answer.
+//
+// An entry holds the response document already encoded, with
+// "cached":true, so a hit writes stored bytes instead of encoding the
+// solution again; the encoded body is the only copy of the solution
+// the entry keeps.
 //
 // Eviction is LRU over a bounded entry count: the documents are small
 // (a cut set plus weights), so a simple recency list is enough.
@@ -21,8 +29,16 @@ type cache struct {
 
 type cacheEntry struct {
 	key        string
-	doc        Document // stored with Cached=false; treated as immutable
+	hit        cachedDoc
 	prev, next *cacheEntry
+}
+
+// cachedDoc is a stored response: its taxonomy status, which picks the
+// HTTP code, and the encoded Document. body is shared by every hit and
+// must not be modified.
+type cachedDoc struct {
+	status string
+	body   []byte
 }
 
 func newCache(max int) *cache {
@@ -32,34 +48,33 @@ func newCache(max int) *cache {
 	return &cache{max: max, entries: make(map[string]*cacheEntry)}
 }
 
-// get returns a copy of the stored document with Cached set, and
-// whether the key was present.
-func (c *cache) get(key string) (Document, bool) {
+// get returns the stored response under key, and whether the key was
+// present.
+func (c *cache) get(key string) (cachedDoc, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		return Document{}, false
+		return cachedDoc{}, false
 	}
 	c.moveToFront(e)
-	doc := e.doc
-	doc.Cached = true
-	return doc, true
+	return e.hit, true
 }
 
-// put stores the document under key, evicting the least recently used
-// entry when full. The stored copy always has Cached=false: the flag
-// describes the response that carries it, not the entry.
-func (c *cache) put(key string, doc Document) {
-	doc.Cached = false
+// put stores a response under key, evicting the least recently used
+// entry when full. body is the Document as encoded for the request that
+// produced it ("cached":false); the stored copy says "cached":true, since
+// the flag describes every later response that carries it.
+func (c *cache) put(key, status string, body []byte) {
+	hit := cachedDoc{status: status, body: markCached(body)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
-		e.doc = doc
+		e.hit = hit
 		c.moveToFront(e)
 		return
 	}
-	e := &cacheEntry{key: key, doc: doc}
+	e := &cacheEntry{key: key, hit: hit}
 	c.entries[key] = e
 	c.pushFront(e)
 	if len(c.entries) > c.max {
@@ -67,6 +82,22 @@ func (c *cache) put(key string, doc Document) {
 		c.unlink(lru)
 		delete(c.entries, lru.key)
 	}
+}
+
+// markCached returns an encoded Document with its cached flag set, in a
+// copy when the flag has to change. The flag is the first "cached" key:
+// the fields before it, hash and status, are a hex digest and a status
+// word.
+func markCached(body []byte) []byte {
+	const fresh, hit = `"cached":false`, `"cached":true`
+	i := bytes.Index(body, []byte(fresh))
+	if i < 0 {
+		return body // already flagged
+	}
+	out := make([]byte, 0, len(body)-len(fresh)+len(hit))
+	out = append(out, body[:i]...)
+	out = append(out, hit...)
+	return append(out, body[i+len(fresh):]...)
 }
 
 // len returns the number of stored documents.

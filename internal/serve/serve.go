@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -225,17 +226,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) 
 	key := cacheKey(hash, topk, k)
 	stream := wantsSSE(r)
 
-	if doc, ok := s.cache.get(key); ok {
+	if hit, ok := s.cache.get(key); ok {
 		s.metrics.Add("mpmcsd_cache_hits", 1)
 		if stream {
 			sse, ok := startSSE(w)
 			if !ok {
 				return
 			}
-			sse.frame("solution", &doc) //nolint:errcheck // client gone mid-write
+			sse.frame("solution", hit.body) //nolint:errcheck // client gone mid-write
 			return
 		}
-		writeJSON(w, HTTPStatus(doc.Status), &doc)
+		writeBody(w, HTTPStatus(hit.status), hit.body)
 		return
 	}
 	s.metrics.Add("mpmcsd_cache_misses", 1)
@@ -281,8 +282,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) 
 	// document always arrives — on client disconnect reqCtx dies, the
 	// solve aborts, and the buffered send never blocks the worker.
 	doc := <-resCh
-	s.finish(key, doc)
-	writeJSON(w, HTTPStatus(doc.Status), doc)
+	body := mustJSON(doc)
+	s.finish(key, doc.Status, body)
+	writeBody(w, HTTPStatus(doc.Status), body)
 }
 
 // streamSolve relays the per-request bus to the SSE client while the
@@ -320,19 +322,21 @@ func (s *Server) streamSolve(w http.ResponseWriter, r *http.Request, sub *obs.Su
 					drained = true
 				}
 			}
-			s.finish(key, doc)
-			sse.frame("solution", doc) //nolint:errcheck // client gone mid-write
+			body := mustJSON(doc)
+			s.finish(key, doc.Status, body)
+			sse.frame("solution", body) //nolint:errcheck // client gone mid-write
 			return
 		}
 	}
 }
 
-// finish records the cache-policy decision: only definitive verdicts
-// (OPTIMAL, INFEASIBLE) are stored — and an enumeration additionally
-// has to be complete, which topkStatus already folds into the status.
-func (s *Server) finish(key string, doc *Document) {
-	if Definitive(doc.Status) {
-		s.cache.put(key, *doc)
+// finish records the cache-policy decision for a solved document,
+// given as encoded for its response: only definitive verdicts (OPTIMAL,
+// INFEASIBLE) are stored — and an enumeration additionally has to be
+// complete, which topkStatus already folds into the status.
+func (s *Server) finish(key, status string, body []byte) {
+	if Definitive(status) {
+		s.cache.put(key, status, body)
 		s.metrics.Add("mpmcsd_cache_stores", 1)
 	}
 }
@@ -407,14 +411,14 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		}
 		key = cacheKey(hash, true, k)
 	}
-	doc, ok := s.cache.get(key)
+	hit, ok := s.cache.get(key)
 	if !ok {
 		writeJSON(w, HTTPStatus(StatusNotFound), &Document{Hash: hash, Status: StatusNotFound,
 			Error: "no cached solution for this hash"})
 		return
 	}
 	s.metrics.Add("mpmcsd_cache_hits", 1)
-	writeJSON(w, HTTPStatus(doc.Status), &doc)
+	writeBody(w, HTTPStatus(hit.status), hit.body)
 }
 
 // budget resolves the per-request solve budget: ?timeoutMillis=N
@@ -458,14 +462,21 @@ func wantsSSE(r *http.Request) bool {
 }
 
 func writeJSON(w http.ResponseWriter, code int, doc *Document) {
+	writeBody(w, code, mustJSON(doc))
+}
+
+// writeBody writes an encoded Document as a response, newline
+// terminated.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(doc) //nolint:errcheck // client gone mid-write
+	w.Write(body)           //nolint:errcheck // client gone mid-write
+	io.WriteString(w, "\n") //nolint:errcheck // client gone mid-write
 }
 
 // mustJSON marshals a value that cannot fail (solution documents are
-// plain data); an impossible failure yields a JSON null rather than a
-// panic in a worker.
+// plain data, and a Document's payloads come from mustJSON); an
+// impossible failure yields a JSON null rather than a panic in a worker.
 func mustJSON(v any) json.RawMessage {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -516,13 +527,10 @@ func (s *sseWriter) event(ev obs.Event) error {
 	return err
 }
 
-// frame renders an arbitrary named frame (the terminal "solution").
-func (s *sseWriter) frame(name string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
+// frame renders a named frame of encoded data (the terminal
+// "solution").
+func (s *sseWriter) frame(name string, data []byte) error {
+	_, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
 	s.f.Flush()
 	return err
 }

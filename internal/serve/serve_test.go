@@ -564,22 +564,125 @@ func TestStatusTable(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := newCache(2)
-	c.put("a", Document{Hash: "a"})
-	c.put("b", Document{Hash: "b"})
+	put := func(key string) {
+		c.put(key, StatusOptimal, mustJSON(&Document{Hash: key, Status: StatusOptimal}))
+	}
+	put("a")
+	put("b")
 	if _, ok := c.get("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", Document{Hash: "c"})
+	put("c")
 	if _, ok := c.get("b"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
 	for _, want := range []string{"a", "c"} {
-		doc, ok := c.get(want)
-		if !ok || doc.Hash != want || !doc.Cached {
-			t.Errorf("entry %s: ok=%v doc=%+v", want, ok, doc)
+		hit, ok := c.get(want)
+		var doc Document
+		if ok {
+			if err := json.Unmarshal(hit.body, &doc); err != nil {
+				t.Fatalf("entry %s: %v", want, err)
+			}
+		}
+		if !ok || hit.status != StatusOptimal || doc.Hash != want || !doc.Cached {
+			t.Errorf("entry %s: ok=%v status=%s doc=%+v", want, ok, hit.status, doc)
 		}
 	}
 	if c.len() != 2 {
 		t.Errorf("len = %d, want 2", c.len())
+	}
+}
+
+// renamedTree rebuilds tree with every gate renamed and every gate's
+// inputs reversed: a different document with the same canonical hash.
+func renamedTree(t *testing.T, tree *ft.Tree) *ft.Tree {
+	t.Helper()
+	name := func(id string) string {
+		if tree.Gate(id) != nil {
+			return "renamed." + id
+		}
+		return id
+	}
+	out := ft.New(tree.Name())
+	for _, e := range tree.Events() {
+		if err := out.AddEventDesc(e.ID, e.Description, e.Prob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range tree.Gates() {
+		inputs := make([]string, len(g.Inputs))
+		for i, in := range g.Inputs {
+			inputs[len(inputs)-1-i] = name(in)
+		}
+		if err := out.AddGate(name(g.ID), g.Description, g.Type, g.K, inputs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.SetTop(name(tree.Top()))
+	return out
+}
+
+// rawBody returns a response's status code and its body.
+func rawBody(t *testing.T, resp *http.Response, err error) (int, []byte) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// README's promise: a hit is the cold response byte for byte apart from
+// "cached":true — whether it answers a renamed resubmission, a lookup by
+// hash or a streaming request.
+func TestCacheHitsAreByteIdentical(t *testing.T) {
+	tree := gen.FPS()
+	cold, renamed := treeJSON(t, tree), treeJSON(t, renamedTree(t, tree))
+	for _, tc := range []struct{ solve, query string }{
+		{"/v1/analyze", ""},
+		{"/v1/topk", "?k=3"},
+	} {
+		t.Run(tc.solve, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 2, Core: core.Options{Sequential: true}})
+			post := func(url string, body []byte) (int, []byte) {
+				resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+				return rawBody(t, resp, err)
+			}
+			solveURL := ts.URL + tc.solve + tc.query
+			code, want := post(solveURL, cold)
+			if code != 200 || !bytes.Contains(want, []byte(`"cached":false`)) {
+				t.Fatalf("cold solve: HTTP %d %s", code, want)
+			}
+			var doc Document
+			if err := json.Unmarshal(want, &doc); err != nil {
+				t.Fatal(err)
+			}
+			_, hit := post(solveURL, renamed)
+			resp, err := http.Get(ts.URL + "/v1/solutions/" + doc.Hash + tc.query)
+			_, lookup := rawBody(t, resp, err)
+			streamURL := ts.URL + tc.solve + "?stream=1"
+			if tc.query != "" {
+				streamURL += "&" + tc.query[1:]
+			}
+			_, sse := post(streamURL, renamed)
+			stream := solutionFrame(sse)
+			for name, got := range map[string][]byte{
+				"renamed resubmission": hit,
+				"lookup by hash":       lookup,
+				"SSE solution frame":   append(stream, '\n'),
+			} {
+				if !bytes.Contains(got, []byte(`"cached":true`)) {
+					t.Errorf("%s is not flagged cached: %s", name, got)
+				}
+				got = bytes.Replace(got, []byte(`"cached":true`), []byte(`"cached":false`), 1)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs from the cold response:\ncold %s\nhit  %s", name, want, got)
+				}
+			}
+		})
 	}
 }

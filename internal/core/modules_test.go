@@ -165,8 +165,8 @@ func TestAnalyzeModularTreesMatchBDD(t *testing.T) {
 }
 
 // An analysis whose deadline has already passed, with an engine that
-// cannot answer, reports ErrNoAnswer with the deadline on the module
-// path too, never another error.
+// cannot answer, reports ErrNoAnswer wrapping context.DeadlineExceeded,
+// never another error.
 func TestAnalyzeExpiredDeadlineIsNoAnswer(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()

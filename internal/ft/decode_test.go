@@ -11,7 +11,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -118,6 +120,32 @@ func TestScanTreeTakesWriterOutput(t *testing.T) {
 		}
 		if scanTree(buf.Bytes()) == nil || scanTree(compact) == nil {
 			t.Errorf("%s: the scanner fell back on WriteJSON or MarshalJSON output", path)
+		}
+	}
+}
+
+// A body that is not a tree must cost about its own size to turn away,
+// however many brackets it holds: nothing is sized from the document
+// before the scan has built it. mpmcsd reads bodies of up to 16 MiB.
+func TestReadJSONRejectsBracketBodiesCheaply(t *testing.T) {
+	const size = 1 << 20
+	for _, body := range []string{
+		strings.Repeat("[", size),
+		strings.Repeat("{", size),
+		`{"top":"` + strings.Repeat("[{", size/2) + `"`,
+	} {
+		data := []byte(body)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := ReadJSON(bytes.NewReader(data)); err == nil {
+			t.Fatalf("%.12q...: no error", body)
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(data))
+		t.Logf("%.12q...: %.2f bytes allocated per input byte", body, perByte)
+		if perByte > 8 {
+			t.Errorf("%.12q...: %.2f bytes allocated per input byte, bound 8", body, perByte)
 		}
 	}
 }

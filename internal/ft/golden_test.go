@@ -8,6 +8,7 @@ package ft_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mpmcs4fta/internal/ft"
@@ -69,7 +70,7 @@ func TestCanonicalHashGolden(t *testing.T) {
 // TestInputAllocsGuard bounds the allocations of reading and hashing
 // the pinned 300-event tree: the work of a cache hit before the
 // response. The count repeats exactly, unlike a timing. The encoding/json
-// reader with a per-node hasher took 4,193; this reader and hasher take about 40.
+// reader with a per-node hasher took 4,193; this reader and hasher take about 80.
 func TestInputAllocsGuard(t *testing.T) {
 	var buf bytes.Buffer
 	if err := pinned300(t).WriteJSON(&buf); err != nil {
@@ -89,5 +90,35 @@ func TestInputAllocsGuard(t *testing.T) {
 	t.Logf("ReadJSON + CanonicalHash: %.0f allocs", allocs)
 	if allocs > bound {
 		t.Errorf("ReadJSON + CanonicalHash: %.0f allocs, bound %d", allocs, bound)
+	}
+}
+
+// BenchmarkReadJSON reads the pinned 300-event tree as the repository
+// writes it, and in two forms outside the single scan's subset that
+// fall back to encoding/json: every event with an escaped description
+// (as Python's json.dumps writes non-ASCII text by default), and every
+// event with a null description.
+//
+//	go test -run='^$' -bench=BenchmarkReadJSON -benchmem ./internal/ft
+func BenchmarkReadJSON(b *testing.B) {
+	var buf bytes.Buffer
+	if err := pinned300(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	writer := buf.String()
+	for _, bc := range []struct{ name, body string }{
+		{"writer", writer},
+		{"escaped", strings.ReplaceAll(writer, `"probability"`, `"description": "caf\u00e9", "probability"`)},
+		{"null", strings.ReplaceAll(writer, `"probability"`, `"description": null, "probability"`)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			body := []byte(bc.body)
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				if _, err := ft.ReadJSON(bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -88,12 +87,20 @@ func (t *Tree) WriteJSON(w io.Writer) error {
 
 // readBufs recycles ReadJSON's input buffers: a decoded tree shares no
 // memory with its document, so a buffer is free again once decoded.
+// A buffer grown past maxPooledRead is dropped rather than pooled, so
+// one large document does not keep its size pinned in every P's slot.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 1 << 20
 
 // ReadJSON parses a fault tree from JSON and validates it.
 func ReadJSON(r io.Reader) (*Tree, error) {
 	buf := readBufs.Get().(*bytes.Buffer)
-	defer readBufs.Put(buf)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			readBufs.Put(buf)
+		}
+	}()
 	buf.Reset()
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("ft: read tree: %w", err)
@@ -164,18 +171,20 @@ func decodeReference(data []byte) (*Tree, error) {
 // Every string in the tree is a substring of one copy of the document,
 // so a node costs no string allocations.
 func scanTree(data []byte) *Tree {
-	s := scanner{src: string(data)}
-	// Size hints: each node is an object and each gate's inputs an
-	// array, beside the document and its two node lists.
-	nGates := max(strings.Count(s.src, "[")-2, 0)
-	nEvents := max(strings.Count(s.src, "{")-1-nGates, 0)
-	t := &Tree{
-		events: make(map[string]*BasicEvent, nEvents),
-		gates:  make(map[string]*Gate, nGates),
-		order:  make([]string, 0, nEvents+nGates),
+	// Outside strings a backslash is not JSON, and inside one it starts
+	// an escape the scan does not decode: leave such a document to
+	// encoding/json before copying it.
+	if bytes.IndexByte(data, '\\') >= 0 {
+		return nil
 	}
-	s.events = make([]BasicEvent, nEvents)
-	s.gates = make([]Gate, nGates)
+	s := scanner{src: string(data)}
+	// Nothing is sized from the document before it is scanned: the maps
+	// and slabs grow with the nodes built, so a body that fails early
+	// costs about its own size.
+	t := &Tree{
+		events: make(map[string]*BasicEvent),
+		gates:  make(map[string]*Gate),
+	}
 	if !s.object(func(key string) (ok bool) {
 		switch key {
 		case "name":
@@ -280,8 +289,9 @@ func (s *scanner) array(elem func() bool) bool {
 	}
 }
 
-// str scans a string without escapes or control characters. Its bytes
-// must be valid UTF-8, which encoding/json would otherwise replace.
+// str scans a string without control characters; scanTree has turned
+// away any document with a backslash, so it has no escapes either. Its
+// bytes must be valid UTF-8, which encoding/json would otherwise replace.
 func (s *scanner) str() (string, bool) {
 	if !s.lit('"') {
 		return "", false
@@ -296,7 +306,7 @@ func (s *scanner) str() (string, bool) {
 			}
 			s.pos = i + 1
 			return v, true
-		case c == '\\' || c < 0x20:
+		case c < 0x20:
 			return "", false
 		case c >= 0x80:
 			ascii = false
@@ -349,7 +359,7 @@ func (s *scanner) number(integer bool) (string, bool) {
 // event scans one event object and adds it to t.
 func (s *scanner) event(t *Tree) bool {
 	if len(s.events) == 0 {
-		s.events = make([]BasicEvent, 16)
+		s.events = make([]BasicEvent, slabLen(len(t.events)))
 	}
 	e := &s.events[0]
 	s.events = s.events[1:]
@@ -377,7 +387,7 @@ func (s *scanner) event(t *Tree) bool {
 // gate scans one gate object and adds it to t.
 func (s *scanner) gate(t *Tree) bool {
 	if len(s.gates) == 0 {
-		s.gates = make([]Gate, 16)
+		s.gates = make([]Gate, slabLen(len(t.gates)))
 	}
 	g := &s.gates[0]
 	s.gates = s.gates[1:]
@@ -414,6 +424,13 @@ func (s *scanner) gate(t *Tree) bool {
 		return false
 	}
 	return t.addGate(g) == nil
+}
+
+// slabLen is the length of the next node slab once built nodes of its
+// kind are built: the slabs double the nodes so far, from 16 to at most
+// 1024 per slab, so at most half of what they hold is ever unused.
+func slabLen(built int) int {
+	return min(max(built, 16), 1024)
 }
 
 // carve copies the scanned input list into the current slab and

@@ -214,17 +214,7 @@ func runE7(ctx context.Context, w io.Writer, p params) error {
 		if err != nil {
 			return err
 		}
-		inst := &cnf.WCNF{NumVars: enc.Formula.NumVars}
-		for _, clause := range enc.Formula.Clauses {
-			inst.AddHard(clause...)
-		}
-		for _, weight := range core.LogWeights(events, core.DefaultScale) {
-			if weight.Hard {
-				inst.AddHard(cnf.Lit(enc.VarOf[weight.ID]))
-			} else if weight.Scaled > 0 {
-				inst.AddSoft(weight.Scaled, cnf.Lit(enc.VarOf[weight.ID]))
-			}
-		}
+		inst := core.WPMSInstance(enc, core.LogWeights(events, core.DefaultScale))
 		start = time.Now()
 		expandedRes, err := solveWPMS(ctx, inst, p.timeout)
 		expandedTime := time.Since(start)

@@ -1,8 +1,8 @@
 // Command mpmcsd is the long-running MPMCS analysis service: fault
-// trees are POSTed as JSON, analyses run on a shared worker pool with
-// per-request deadlines, and definitive results are cached by the
-// canonical tree hash, so re-submitting an equivalent tree is a lookup
-// instead of a solve.
+// trees are POSTed as JSON, at most -workers analyses run at once,
+// each under its request's deadline, and definitive results are cached
+// by the canonical tree hash, so re-submitting an equivalent tree is a
+// lookup instead of a solve.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, shutdown <-chan s
 	fs.SetOutput(stderr)
 	var (
 		listen     = fs.String("listen", ":8357", "address to serve on (host:port; :0 picks a free port)")
-		workers    = fs.Int("workers", 0, "solve pool size (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "concurrent solves at most (0 = GOMAXPROCS)")
 		defTimeout = fs.Duration("default-timeout", 30*time.Second, "per-request solve budget when the request names none")
 		maxTimeout = fs.Duration("max-timeout", 5*time.Minute, "upper bound on the budget a request may ask for")
 		cacheSize  = fs.Int("cache-entries", 1024, "bound on cached solution documents")

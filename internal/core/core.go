@@ -202,7 +202,7 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 		return nil, fmt.Errorf("core: encode success tree: %w", err)
 	}
 
-	instance := wpmsInstance(enc, weights)
+	instance := WPMSInstance(enc, weights)
 	if sp.Recording() {
 		sp.SetInt("vars", int64(instance.NumVars))
 		sp.SetInt("hardClauses", int64(len(instance.Hard)))
@@ -219,10 +219,10 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 	}, nil
 }
 
-// wpmsInstance performs Step 4: the hard CNF of the encoding plus one
+// WPMSInstance performs Step 4: the hard CNF of the encoding plus one
 // positive unit soft clause (yᵢ) per fallible event, weighted by its
 // scaled −log probability.
-func wpmsInstance(enc *cnf.Encoding, weights []EventWeight) *cnf.WCNF {
+func WPMSInstance(enc *cnf.Encoding, weights []EventWeight) *cnf.WCNF {
 	instance := &cnf.WCNF{NumVars: enc.Formula.NumVars}
 	for _, clause := range enc.Formula.Clauses {
 		instance.AddHard(clause...)

@@ -42,7 +42,7 @@ func (a *Analyzer) Analyze(ctx context.Context, overrides map[string]float64) (*
 		}
 	}
 	weights := LogWeights(working.Events(), DefaultScale)
-	steps := &Steps{Encoding: a.enc, Weights: weights, Instance: wpmsInstance(a.enc, weights)}
+	steps := &Steps{Encoding: a.enc, Weights: weights, Instance: WPMSInstance(a.enc, weights)}
 
 	ctx, cancel := a.opts.withTimeout(ctx)
 	defer cancel()

@@ -5,29 +5,29 @@ import (
 	"go/types"
 )
 
-// ExactlyOnce enforces the result-delivery contract between sched.Pool
-// tasks and their consumers in the serve handlers. Pool.Submit
-// guarantees an accepted task runs exactly once —
-// but only if the task can actually finish. A task (or handler) that
-// sends its result on an unbuffered channel wedges a pool worker
-// forever when the consumer has already given up (client disconnect,
-// context expiry); a wedged worker shrinks the pool for every later
-// request. The two safe shapes, both used by the shipped code, are:
+// ExactlyOnce enforces the result-delivery contract between a solve
+// and its consumer in the serve handlers. An admitted solve holds one
+// of the server's analysis slots until it has delivered its result. A
+// solve that sends its result on an unbuffered channel after the
+// consumer has given up (client disconnect, context expiry) is stuck
+// forever, still holding its slot; every stuck slot holder shrinks
+// the server's capacity for every later request, and Close waits on
+// it. The two safe shapes, both used by the shipped code, are:
 //
 //   - send on a channel provably buffered for every send it receives
-//     (make(chan T, 1) per task, or make(chan T, len(items)) for a
+//     (make(chan T, 1) per solve, or make(chan T, len(items)) for a
 //     fan-in) — the send completes regardless of the consumer;
 //   - send inside a select that also watches ctx.Done() (or has a
 //     default), so abandonment cancels the send.
 //
 // Every other send statement in serve is a finding. Buffering is
 // resolved through closure boundaries: a channel made in the enclosing
-// function and sent on inside the submitted task closure counts,
-// because the make and the send share one variable.
+// function and sent on inside a goroutine's closure counts, because
+// the make and the send share one variable.
 var ExactlyOnce = &Analyzer{
 	Name: "exactlyonce",
 	Doc: "sends in serve must use a provably-buffered channel or " +
-		"a select with ctx.Done()/default, so abandoned consumers cannot wedge pool workers",
+		"a select with ctx.Done()/default, so an abandoned consumer cannot leave a solve stuck holding its slot",
 	Run: runExactlyOnce,
 }
 
@@ -57,8 +57,8 @@ func runExactlyOnce(pass *Pass) {
 					return true
 				}
 				pass.Reportf(send.Pos(), "naked send: the channel is not provably buffered and the send "+
-					"is not in a select with ctx.Done() or default; an abandoned consumer wedges "+
-					"the sender (and its pool worker) forever")
+					"is not in a select with ctx.Done() or default; an abandoned consumer leaves "+
+					"the sender stuck forever (a solve stuck holding its analysis slot)")
 				return true
 			})
 		}

@@ -12,7 +12,7 @@ func TestGuardedBy(t *testing.T)     { runAnalyzerTest(t, GuardedBy, "guarded") 
 func TestSpanClose(t *testing.T)     { runAnalyzerTest(t, SpanClose, "spans") }
 func TestGoroutineWait(t *testing.T) { runAnalyzerTest(t, GoroutineWait, "portfolio") }
 func TestArenaRef(t *testing.T)      { runAnalyzerTest(t, ArenaRef, "arena") }
-func TestLockOrder(t *testing.T)     { runAnalyzerTest(t, LockOrder, "sched") }
+func TestLockOrder(t *testing.T)     { runAnalyzerTest(t, LockOrder, "lockorder/serve") }
 func TestExactlyOnce(t *testing.T)   { runAnalyzerTest(t, ExactlyOnce, "exactlyonce/serve") }
 func TestErrTaxonomy(t *testing.T)   { runAnalyzerTest(t, ErrTaxonomy, "errtax", "serve") }
 

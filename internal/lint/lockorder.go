@@ -6,7 +6,7 @@ import (
 )
 
 // LockOrder enforces two deadlock invariants across the service-side
-// packages (serve, sched, portfolio, obs):
+// packages (serve, portfolio, obs):
 //
 //  1. Consistent lock ordering. Every observed nested acquisition —
 //     taking mutex B while holding mutex A, directly or through a
@@ -18,7 +18,7 @@ import (
 //
 //  2. No blocking while holding a mutex. A channel operation that can
 //     park (send/receive outside a select with default), or a call
-//     whose summary is may-block (Pool.Submit's backoff wait,
+//     whose summary is may-block (a wait for an analysis slot,
 //     WaitGroup.Wait, an http write), made while a mutex is held,
 //     stalls every other goroutine that needs the lock — the
 //     slow-subscriber-stalls-the-solver class the obs bus was
@@ -33,14 +33,14 @@ import (
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "lock acquisitions must follow one global order and must not " +
-		"wrap may-block operations (channel waits, Pool.Submit, HTTP writes)",
+		"wrap may-block operations (channel waits, WaitGroup.Wait, HTTP writes)",
 	Run: runLockOrder,
 }
 
 // lockOrderScope is the package set whose lock graphs compose; the
 // solver core manages no cross-goroutine mutexes on its hot path.
 func lockOrderScope(path string) bool {
-	return pathEndsIn(path, "serve", "sched", "portfolio", "obs")
+	return pathEndsIn(path, "serve", "portfolio", "obs")
 }
 
 // lockEdge is one observed nested acquisition: to was locked while from

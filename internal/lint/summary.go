@@ -30,7 +30,7 @@ type FuncSummary struct {
 	// exert backpressure through the response body).
 	MayBlock bool
 	// Blocks names the first blocking operation that seeded MayBlock,
-	// for diagnostics ("channel send", "call to Pool.Submit", ...).
+	// for diagnostics ("channel send", "call to Wait", ...).
 	Blocks string
 	// MayPoll: the function may poll a context — a ctx.Err()/ctx.Done()
 	// check or a call handing a context.Context down (the callee is
@@ -213,7 +213,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 
 // insideNonBlockingSelect reports whether pos sits in a CommClause of a
 // select statement that has a default case — the non-blocking
-// send/receive idiom (obs fan-out, sched tryReserve).
+// send/receive idiom (obs fan-out).
 func insideNonBlockingSelect(root ast.Node, pos token.Pos) bool {
 	nonBlocking := false
 	ast.Inspect(root, func(n ast.Node) bool {

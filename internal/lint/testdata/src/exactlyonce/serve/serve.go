@@ -1,6 +1,6 @@
 // Package serve is the exactlyonce golden: a send that is neither
-// provably buffered nor guarded by ctx.Done()/default can wedge a pool
-// worker forever once the consumer gives up.
+// provably buffered nor guarded by ctx.Done()/default leaves its sender
+// stuck forever, holding its analysis slot, once the consumer gives up.
 package serve
 
 import "context"

@@ -1,8 +1,8 @@
-// Package sched is the lockorder golden: ABBA ordering cycles are
+// Package serve is the lockorder golden: ABBA ordering cycles are
 // reported (directly and through callee acquire-summaries), blocking
 // operations under a held mutex are reported, and the non-blocking
 // select-with-default idiom is exempt.
-package sched
+package serve
 
 import "sync"
 
@@ -62,13 +62,13 @@ type worker struct {
 func (w *worker) sendUnderLock(v int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.results <- v // want "channel send while holding sched.worker.mu"
+	w.results <- v // want "channel send while holding serve.worker.mu"
 }
 
 // waitUnderLock blocks on peers that may need the same lock.
 func (w *worker) waitUnderLock() {
 	w.mu.Lock()
-	w.wg.Wait() // want `call to Wait may block \(WaitGroup.Wait\) while holding sched.worker.mu`
+	w.wg.Wait() // want `call to Wait may block \(WaitGroup.Wait\) while holding serve.worker.mu`
 	w.mu.Unlock()
 }
 

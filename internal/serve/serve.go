@@ -1,10 +1,11 @@
 // Package serve implements mpmcsd, the long-running analysis service:
-// fault trees come in over HTTP as JSON, analyses run on a shared
-// worker pool with per-request deadlines, live bound trajectories
-// stream out as Server-Sent Events, and definitive results land in a
-// content-addressed cache keyed by the canonical tree hash
-// (ft.CanonicalHash), so re-submitting the same tree — under any gate
-// renaming or child reordering — is a lookup, not a solve.
+// fault trees come in over HTTP as JSON, analyses run on the request
+// goroutine under a per-request deadline, at most Config.Workers at a
+// time, live bound trajectories stream out as Server-Sent Events, and
+// definitive results land in a content-addressed cache keyed by the
+// canonical tree hash (ft.CanonicalHash), so re-submitting the same
+// tree — under any gate renaming or child reordering — is a lookup,
+// not a solve.
 //
 // Endpoints:
 //
@@ -31,6 +32,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,7 +41,6 @@ import (
 	"mpmcs4fta/internal/core"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/obs"
-	"mpmcs4fta/internal/sched"
 )
 
 // maxTreeBytes bounds a request body: trees are small documents, and
@@ -48,10 +49,10 @@ const maxTreeBytes = 16 << 20
 
 // Config configures a Server. The zero value selects defaults.
 type Config struct {
-	// Workers sizes the shared solve pool (≤0 = GOMAXPROCS). Requests
-	// beyond the pool's queue wait their turn; the wait spends their
-	// deadline budget, so an overloaded server answers NO_ANSWER
-	// instead of piling up unbounded work.
+	// Workers bounds how many analyses run at once (≤0 = GOMAXPROCS).
+	// A request that finds every slot taken waits for one; the wait
+	// spends its deadline budget, so an overloaded server answers
+	// NO_ANSWER instead of piling up unbounded work.
 	Workers int
 	// DefaultTimeout is the per-request solve budget when the request
 	// does not name one (default 30s).
@@ -71,6 +72,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
@@ -117,7 +121,7 @@ type Document struct {
 // or call Start, stop with Close.
 type Server struct {
 	cfg     Config
-	pool    *sched.Pool
+	slots   chan struct{} // one token per analysis in flight
 	cache   *cache
 	metrics *obs.Metrics
 	bus     *obs.EventBus
@@ -126,15 +130,18 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool         // guarded by mu
 	srv    *http.Server // guarded by mu
-	wg     sync.WaitGroup
+	// wg joins the listener goroutine and every admitted solve; a
+	// solve registers under mu while closed is false, so no Add races
+	// Close's Wait.
+	wg sync.WaitGroup
 }
 
-// New returns a ready Server; the worker pool is running.
+// New returns a ready Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:     cfg,
-		pool:    sched.New(cfg.Workers),
+		slots:   make(chan struct{}, cfg.Workers),
 		cache:   newCache(cfg.CacheEntries),
 		metrics: cfg.Metrics,
 		bus:     cfg.Bus,
@@ -177,14 +184,13 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // Close stops the listener (disconnecting in-flight requests,
-// including blocked SSE streams), drains the worker pool and joins
-// every goroutine the server started. Safe without Start and more
-// than once.
+// including blocked SSE streams), refuses new solves, waits for the
+// admitted ones and joins every goroutine the server started. Safe
+// without Start and more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	srv := s.srv
 	s.srv = nil
-	alreadyClosed := s.closed
 	s.closed = true
 	s.mu.Unlock()
 	var err error
@@ -192,15 +198,43 @@ func (s *Server) Close() error {
 		err = srv.Close() // Close, not Shutdown: SSE streams never drain
 	}
 	s.wg.Wait()
-	if !alreadyClosed {
-		s.pool.Close()
-	}
 	return err
 }
 
+// admit registers a solve with the server and takes an analysis slot,
+// waiting for one at most until ctx ends. When it cannot, it answers
+// the client itself — 503 UNAVAILABLE once Close has begun, 504
+// NO_ANSWER when the deadline passes first — and returns false. On
+// success the caller owes one s.wg.Done, and runAnalysis frees the
+// slot.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, hash string) bool {
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.wg.Add(1)
+	}
+	s.mu.Unlock()
+	if closed {
+		writeJSON(w, HTTPStatus(StatusUnavailable), &Document{Hash: hash, Status: StatusUnavailable,
+			Error: "server is shutting down"})
+		return false
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		s.wg.Done()
+		// The deadline budget was spent waiting: same verdict as a solve
+		// that learned nothing in time.
+		writeJSON(w, HTTPStatus(StatusNoAnswer), &Document{Hash: hash, Status: StatusNoAnswer,
+			Error: fmt.Sprintf("request expired before a worker was free: %v", ctx.Err())})
+		return false
+	}
+}
+
 // handleSolve serves POST /v1/analyze and POST /v1/topk: parse and
-// hash the tree, try the cache, otherwise run the analysis on the
-// shared pool under the request's deadline budget.
+// hash the tree, try the cache, otherwise run the analysis in a free
+// slot under the request's deadline budget.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) {
 	s.metrics.Add("mpmcsd_requests", 1)
 	k := 1
@@ -257,31 +291,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) 
 		defer sub.Close()
 	}
 
-	resCh := make(chan *Document, 1)
-	submitted := s.pool.Submit(reqCtx, func(taskCtx context.Context) {
-		resCh <- s.runAnalysis(taskCtx, tree, hash, k, topk, bus)
-	})
-	if submitted != nil {
-		if errors.Is(submitted, sched.ErrClosed) {
-			writeJSON(w, HTTPStatus(StatusUnavailable), &Document{Hash: hash, Status: StatusUnavailable,
-				Error: "server is shutting down"})
-			return
-		}
-		// The deadline budget was spent queuing: same verdict as a solve
-		// that learned nothing in time.
-		writeJSON(w, HTTPStatus(StatusNoAnswer), &Document{Hash: hash, Status: StatusNoAnswer,
-			Error: fmt.Sprintf("request expired before a worker was free: %v", submitted)})
+	if !s.admit(reqCtx, w, hash) {
 		return
 	}
-
 	if stream {
+		// SSE frames are relayed while the solve runs, so the solve
+		// moves to a goroutine that Close joins. On client disconnect
+		// reqCtx dies, the solve aborts, and the buffered send never
+		// blocks it.
+		resCh := make(chan *Document, 1)
+		go func() {
+			defer s.wg.Done()
+			resCh <- s.runAnalysis(reqCtx, tree, hash, k, topk, bus)
+		}()
 		s.streamSolve(w, r, sub, resCh, key)
 		return
 	}
-	// The task runs exactly once and honours its context, so the
-	// document always arrives — on client disconnect reqCtx dies, the
-	// solve aborts, and the buffered send never blocks the worker.
-	doc := <-resCh
+	defer s.wg.Done()
+	doc := s.runAnalysis(reqCtx, tree, hash, k, topk, bus)
 	body := mustJSON(doc)
 	s.finish(key, doc.Status, body)
 	writeBody(w, HTTPStatus(doc.Status), body)
@@ -341,11 +368,14 @@ func (s *Server) finish(key, status string, body []byte) {
 	}
 }
 
-// runAnalysis executes one analysis on a worker and renders the
-// outcome as a Document, mapping the error taxonomy to status strings.
-// It never returns nil and the document is never empty: even a solve
-// that learned nothing carries NO_ANSWER and the reason.
+// runAnalysis executes one admitted analysis and renders the outcome
+// as a Document, mapping the error taxonomy to status strings. It
+// frees the analysis slot when it returns, so encoding and writing the
+// response do not hold it, and a panic cannot leak it. It never
+// returns nil and the document is never empty: even a solve that
+// learned nothing carries NO_ANSWER and the reason.
 func (s *Server) runAnalysis(ctx context.Context, tree *ft.Tree, hash string, k int, topk bool, bus *obs.EventBus) *Document {
+	defer func() { <-s.slots }()
 	opts := s.cfg.Core
 	opts.Timeout = 0 // ctx already carries the request deadline
 	opts.Metrics = s.metrics
@@ -476,7 +506,7 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 
 // mustJSON marshals a value that cannot fail (solution documents are
 // plain data, and a Document's payloads come from mustJSON); an
-// impossible failure yields a JSON null rather than a panic in a worker.
+// impossible failure yields a JSON null rather than a panic mid-request.
 func mustJSON(v any) json.RawMessage {
 	b, err := json.Marshal(v)
 	if err != nil {

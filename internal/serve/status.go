@@ -36,7 +36,7 @@ const (
 	StatusNoAnswer   = "NO_ANSWER"
 	StatusInvalid    = "INVALID"
 	StatusError      = "ERROR"
-	// StatusUnavailable is the shutdown verdict: the pool no longer
+	// StatusUnavailable is the shutdown verdict: the server no longer
 	// accepts work, so the request was refused, not answered.
 	StatusUnavailable = "UNAVAILABLE"
 	// StatusNotFound is the cache-lookup miss verdict: the service

@@ -1,74 +1,77 @@
 package mpmcs4fta
 
-// Guards the observability acceptance criterion: the disabled
-// instrumentation path costs nothing measurable (< 5% on the FPS
-// pipeline). The tracing half is pinned deterministically in
+// Guards the observability acceptance criterion: instrumentation the
+// caller did not ask for costs nothing, and an enabled bus stays cheap.
+// Both halves are pinned by what the code executes, not by wall-clock
+// comparisons that load alone can fail. The tracing half lives in
 // internal/core (TestNopTracerGuard: an unset tracer is obs.Nop(),
 // whose spans never allocate).
 
 import (
 	"context"
 	"testing"
-	"time"
 
 	"mpmcs4fta/internal/obs"
 )
 
-// analyzeBatch runs iters sequential analyses and returns the elapsed
-// wall time.
-func analyzeBatch(tb testing.TB, opts Options, iters int) time.Duration {
-	tb.Helper()
-	ctx := context.Background()
-	tree := ExampleFPS()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		sol, err := Analyze(ctx, tree, opts)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if sol.Probability < 0.0199 || sol.Probability > 0.0201 {
-			tb.Fatalf("wrong answer: %v", sol.Probability)
-		}
-	}
-	return time.Since(start)
-}
-
-// TestNopBusOverheadGuard is the event-bus analogue: solver telemetry
-// hooks are compiled into the hot paths unconditionally, so the guard
-// compares the disabled bus (nil Options.Bus, the default) against an
-// enabled idle bus. If even the enabled-with-no-subscribers path stays
-// within 5%, the disabled path — a nil-receiver check per publish
-// site — certainly does; a regression in either direction (hooks that
-// got expensive, or a default-on bus sneaking in) fails every attempt.
+// TestNopBusOverheadGuard pins what an enabled, idle bus executes: the
+// solver's telemetry hooks are compiled into the hot paths
+// unconditionally, so the guard checks both how often they publish and
+// what one publish costs.
+//
+//   - An analysis publishes per solve, engine and bound step, never per
+//     SAT call, conflict or decision: a sequential FPS analysis emits
+//     one solveStarted/solveFinished pair, one engineStarted/
+//     engineFinished pair per engine that ran, and at most one
+//     boundImproved per step of the winner's bound trajectory.
+//   - With no subscribers and a full replay ring, Publish allocates
+//     nothing and fans out to no one.
+//
+// The disabled path, a nil Options.Bus (the default), is pinned by
+// TestDisabledBusZeroAlloc.
 func TestNopBusOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard skipped in -short mode")
+	bus := NewEventBus()
+	sol, err := Analyze(context.Background(), ExampleFPS(), Options{Sequential: true, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := Options{Sequential: true} // bus disabled: the default path
-	withBus := func() Options { return Options{Sequential: true, Bus: NewEventBus()} }
-	const iters = 40
-
-	analyzeBatch(t, base, iters) // warm up caches and the allocator
-	analyzeBatch(t, withBus(), iters)
-
-	var lastBase, lastBus time.Duration
-	for attempt := 0; attempt < 4; attempt++ {
-		baseBest, busBest := time.Duration(1<<62), time.Duration(1<<62)
-		for trial := 0; trial < 5; trial++ {
-			if d := analyzeBatch(t, base, iters); d < baseBest {
-				baseBest = d
-			}
-			if d := analyzeBatch(t, withBus(), iters); d < busBest {
-				busBest = d
-			}
-		}
-		lastBase, lastBus = baseBest, busBest
-		if float64(busBest) <= 1.05*float64(baseBest) {
-			return
-		}
+	kinds := map[string]int{}
+	for _, ev := range bus.Replay() {
+		kinds[ev.Kind]++
 	}
-	t.Errorf("event bus overhead above 5%%: disabled %v, enabled idle bus %v per %d analyses",
-		lastBase, lastBus, iters)
+	if got := int64(len(bus.Replay())); got != bus.Published() {
+		t.Fatalf("replay ring holds %d of %d events; the count below would be partial", got, bus.Published())
+	}
+	if kinds[obs.KindSolveStarted] != 1 || kinds[obs.KindSolveFinished] != 1 {
+		t.Errorf("solve lifecycle published %d started, %d finished, want one each: %v",
+			kinds[obs.KindSolveStarted], kinds[obs.KindSolveFinished], kinds)
+	}
+	if started := kinds[obs.KindEngineStarted]; started < 1 || started != kinds[obs.KindEngineFinished] {
+		t.Errorf("engine lifecycle published %d started, %d finished, want one pair per engine: %v",
+			started, kinds[obs.KindEngineFinished], kinds)
+	}
+	if steps := len(sol.Stats.Solver.Bounds); kinds[obs.KindBoundImproved] > steps {
+		t.Errorf("%d boundImproved events for %d bound steps: a bound hook fires off the trajectory: %v",
+			kinds[obs.KindBoundImproved], steps, kinds)
+	}
+	lifecycle := kinds[obs.KindSolveStarted] + kinds[obs.KindSolveFinished] +
+		kinds[obs.KindEngineStarted] + kinds[obs.KindEngineFinished] + kinds[obs.KindBoundImproved]
+	if int64(lifecycle) != bus.Published() {
+		t.Errorf("an FPS analysis published %d events, %d of them outside the solve, engine and bound lifecycle: %v",
+			bus.Published(), bus.Published()-int64(lifecycle), kinds)
+	}
+
+	var payload obs.EventPayload = obs.Heartbeat{Conflicts: 1}
+	for i := 0; i < obs.DefaultEventRing; i++ {
+		bus.Publish(payload) // fill the replay ring
+	}
+	if n := testing.AllocsPerRun(1000, func() { bus.Publish(payload) }); n != 0 {
+		t.Errorf("an idle bus allocates %.1f times per publish, want 0", n)
+	}
+	if bus.Subscribers() != 0 || bus.Dropped() != 0 || bus.QueueDepth() != 0 {
+		t.Errorf("idle bus fanned out: %d subscribers, %d dropped, %d queued",
+			bus.Subscribers(), bus.Dropped(), bus.QueueDepth())
+	}
 }
 
 // TestDisabledBusZeroAlloc pins the stronger half of the contract

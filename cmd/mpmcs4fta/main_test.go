@@ -262,7 +262,7 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"validate"`, `"formula"`, `"weights"`, `"encode"`, `"solve"`, `"decode"`,
-		`"engine:wmsu1"`, `"engine:linear-su"`, `"engine:branch-bound"`,
+		`"engine:wmsu1-strat"`, `"engine:linear-su"`, `"engine:branch-bound"`,
 		`"satCalls"`, `"decisions"`,
 	} {
 		if !strings.Contains(string(trace), want) {

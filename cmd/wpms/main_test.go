@@ -104,6 +104,7 @@ func TestRunErrors(t *testing.T) {
 		{"missing input", nil},
 		{"nonexistent", []string{"-input", "/no/such/file"}},
 		{"bad engine", []string{"-input", path, "-engine", "quantum"}},
+		{"retired plain wmsu1", []string{"-input", path, "-engine", "wmsu1"}},
 		{"malformed wcnf", []string{"-input", writeWCNF(t, "garbage\n")}},
 	}
 	for _, tt := range tests {

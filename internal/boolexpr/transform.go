@@ -231,57 +231,6 @@ func expandThreshold(k int, xs []Expr) Expr {
 	return Or{Xs: []Expr{with, without}}
 }
 
-// ExpandAtLeastNaive rewrites AtLeast(k, xs) into the textbook
-// OR-over-all-C(n,k)-combinations form. Output size is combinatorial in
-// the fan-in — it exists as the baseline against which the shared
-// Shannon expansion (ExpandAtLeast) and the native threshold encoding
-// are measured (Experiment E7).
-func ExpandAtLeastNaive(e Expr) Expr {
-	switch x := e.(type) {
-	case Var, Const:
-		return e
-	case Not:
-		return Not{X: ExpandAtLeastNaive(x.X)}
-	case And:
-		return And{Xs: expandNaiveAll(x.Xs)}
-	case Or:
-		return Or{Xs: expandNaiveAll(x.Xs)}
-	case AtLeast:
-		xs := expandNaiveAll(x.Xs)
-		switch {
-		case x.K <= 0:
-			return True
-		case x.K > len(xs):
-			return False
-		}
-		var terms []Expr
-		combo := make([]Expr, 0, x.K)
-		var choose func(start, need int)
-		choose = func(start, need int) {
-			if need == 0 {
-				terms = append(terms, And{Xs: append([]Expr(nil), combo...)})
-				return
-			}
-			for i := start; i <= len(xs)-need; i++ {
-				combo = append(combo, xs[i])
-				choose(i+1, need-1)
-				combo = combo[:len(combo)-1]
-			}
-		}
-		choose(0, x.K)
-		return Or{Xs: terms}
-	}
-	panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
-}
-
-func expandNaiveAll(xs []Expr) []Expr {
-	out := make([]Expr, len(xs))
-	for i, x := range xs {
-		out[i] = ExpandAtLeastNaive(x)
-	}
-	return out
-}
-
 // IsMonotone reports whether e is free of negations and constants after
 // simplification, i.e. a coherent structure function. Fault trees produce
 // monotone expressions; several algorithms (MOCUS, the Rauzy BDD cut-set

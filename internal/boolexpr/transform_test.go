@@ -185,36 +185,6 @@ func anyAtLeast(xs []Expr) bool {
 	return false
 }
 
-func TestExpandAtLeastNaiveEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cfg := DefaultRandomConfig()
-	cfg.NumVars = 5
-	cfg.MaxFanIn = 3
-	for trial := 0; trial < 100; trial++ {
-		f := Random(rng, cfg)
-		g := ExpandAtLeastNaive(f)
-		if hasAtLeast(g) {
-			t.Fatalf("ExpandAtLeastNaive(%v) still contains AtLeast nodes", f)
-		}
-		assertEquivalent(t, f, g)
-	}
-}
-
-func TestExpandAtLeastNaiveCombinationCount(t *testing.T) {
-	xs := []Expr{V("a"), V("b"), V("c"), V("d")}
-	g := ExpandAtLeastNaive(AtLeast{K: 2, Xs: xs})
-	or, ok := g.(Or)
-	if !ok || len(or.Xs) != 6 { // C(4,2)
-		t.Fatalf("expected OR of 6 conjunctions, got %v", g)
-	}
-	if !Equal(ExpandAtLeastNaive(AtLeast{K: 0, Xs: xs}), True) {
-		t.Error("k=0 should be true")
-	}
-	if !Equal(ExpandAtLeastNaive(AtLeast{K: 5, Xs: xs}), False) {
-		t.Error("k>n should be false")
-	}
-}
-
 func TestExpandAtLeastDegenerate(t *testing.T) {
 	if got := ExpandAtLeast(NewAtLeast(0, V("a"))); !Equal(got, True) {
 		t.Errorf("expand atleast(0) = %v, want true", got)

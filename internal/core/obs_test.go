@@ -133,7 +133,7 @@ func TestAnalyzeTopKTraced(t *testing.T) {
 			if names["solve"] < 2 || names["decode"] < 2 {
 				t.Errorf("want one solve+decode per round, got %v", names)
 			}
-			if names["engine:wmsu1"] < 2 {
+			if names["engine:wmsu1-strat"] < 2 {
 				t.Errorf("want an engine span per round, got %v", names)
 			}
 			for _, step := range []string{"validate", "formula", "weights", "encode"} {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"slices"
 	"sort"
 	"strconv"
@@ -102,6 +103,7 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		}
 	}()
 	buf.Reset()
+	buf.Grow(sizeHint(r) + bytes.MinRead) // ReadFrom needs MinRead spare bytes to see EOF without regrowing
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("ft: read tree: %w", err)
 	}
@@ -119,6 +121,22 @@ func ReadJSON(r io.Reader) (*Tree, error) {
 		return nil, err
 	}
 	return tree, nil
+}
+
+// sizeHint is how many bytes r holds, when r can tell without reading:
+// an in-memory reader's Len or a regular file's size; 0 otherwise.
+// Sizing the read buffer from it once replaces ReadFrom's doubling,
+// which allocates about twice the document on its way up.
+func sizeHint(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
 }
 
 // decodeTree is the JSON decoder behind ReadJSON and UnmarshalJSON:

@@ -162,7 +162,7 @@ func TestWMSU1ReportsLowerBoundOnInterrupt(t *testing.T) {
 	}
 }
 
-// TestWMSU1StratifiedKeepsIncumbentOnInterrupt: a stratified run's
+// TestWMSU1StratifiedKeepsIncumbentOnInterrupt: WMSU1's
 // intermediate stratum model is a feasible incumbent and must survive
 // interruption as a FEASIBLE answer.
 func TestWMSU1StratifiedKeepsIncumbentOnInterrupt(t *testing.T) {
@@ -177,7 +177,7 @@ func TestWMSU1StratifiedKeepsIncumbentOnInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	prog := &cancelProgress{cancel: cancel, onModel: true}
-	res, err := (&WMSU1{Stratified: true}).SolveWithProgress(ctx, &inst, prog)
+	res, err := (&WMSU1{}).SolveWithProgress(ctx, &inst, prog)
 	if err != nil {
 		t.Fatalf("interrupted solve with incumbent returned error: %v", err)
 	}

@@ -6,7 +6,8 @@
 //
 //   - LinearSU: model-improving linear search SAT→UNSAT, using the CDCL
 //     solver's native pseudo-Boolean budget propagator for the bound.
-//   - WMSU1: core-guided Fu&Malik with weight splitting (WPM1).
+//   - WMSU1: core-guided Fu&Malik with weight splitting (WPM1) and
+//     geometric weight stratification.
 //   - BranchBound: dedicated branch-and-bound over the instance
 //     variables. Unit propagation keeps per-literal occurrence lists
 //     and per-clause counts of true and false literals, so an

@@ -12,7 +12,6 @@ func engines() []Solver {
 	return []Solver{
 		&LinearSU{},
 		&WMSU1{},
-		&WMSU1{Stratified: true},
 		&BranchBound{},
 	}
 }

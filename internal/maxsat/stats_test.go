@@ -20,7 +20,7 @@ func statsInstance() *cnf.WCNF {
 }
 
 func TestEngineStatsPopulated(t *testing.T) {
-	engines := []Solver{&LinearSU{}, &WMSU1{}, &WMSU1{Stratified: true}, &BranchBound{}}
+	engines := []Solver{&LinearSU{}, &WMSU1{}, &BranchBound{}}
 	for _, e := range engines {
 		t.Run(e.Name(), func(t *testing.T) {
 			res, err := e.Solve(context.Background(), statsInstance())

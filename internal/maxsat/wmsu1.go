@@ -21,29 +21,23 @@ import (
 // The engine shines exactly where the MPMCS problem lives: optima that
 // falsify few soft clauses, found after a handful of small cores.
 //
+// The engine always stratifies by weight: soft clauses are activated
+// stratum by stratum from the heaviest weight down, so early cores
+// concentrate on the literals that matter most — often far fewer and
+// smaller cores on instances with wide weight ranges like the −log
+// transform produces.
+//
 // Run cooperatively (SolveWithProgress), the engine publishes its
 // accumulated core payments as a global lower bound — each WPM1
 // transformation preserves the instance's optimum minus the payment,
 // so the running total is a sound lower bound at every step — and the
 // feasible models it finds at intermediate strata as incumbents.
-type WMSU1 struct {
-	// Stratified enables weight stratification: soft clauses are
-	// activated stratum by stratum from the heaviest weight down, so
-	// early cores concentrate on the literals that matter most — often
-	// far fewer and smaller cores on instances with wide weight ranges
-	// like the −log transform produces.
-	Stratified bool
-}
+type WMSU1 struct{}
 
 var _ ProgressSolver = (*WMSU1)(nil)
 
 // Name implements Solver.
-func (w *WMSU1) Name() string {
-	if w.Stratified {
-		return "wmsu1-strat"
-	}
-	return "wmsu1"
-}
+func (w *WMSU1) Name() string { return "wmsu1-strat" }
 
 // wmsu1Soft is a live soft clause: its accumulated literals (original
 // clause plus relaxation variables) and the selector that activates it.
@@ -85,15 +79,11 @@ func (w *WMSU1) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog Prog
 	}
 
 	// threshold selects the active stratum: only softs with weight ≥
-	// threshold are enforced via assumptions. Without stratification
-	// every soft is active from the start.
+	// threshold are enforced via assumptions. It starts at the heaviest
+	// weight.
 	var threshold int64 = 1
-	if w.Stratified {
-		for _, soft := range softs {
-			if soft.weight > threshold {
-				threshold = soft.weight
-			}
-		}
+	for _, soft := range softs {
+		threshold = max(threshold, soft.weight)
 	}
 
 	var (

@@ -29,10 +29,14 @@ import (
 type EventBus struct {
 	t0 time.Time
 
-	mu      sync.Mutex
-	seq     uint64          // events published so far; guarded by mu
-	subs    []*Subscription // guarded by mu
-	ring    []Event         // replay buffer, oldest first; guarded by mu
+	mu   sync.Mutex
+	seq  uint64          // events published so far; guarded by mu
+	subs []*Subscription // guarded by mu
+	// ring is the replay buffer. It fills oldest first; once full, a
+	// publish overwrites the oldest event at head and advances it, so
+	// the events in order are ring[head:] then ring[:head].
+	ring    []Event // guarded by mu
+	head    int     // guarded by mu
 	ringCap int
 	dropped int64 // events lost to full subscriber channels; guarded by mu
 }
@@ -68,13 +72,11 @@ func (b *EventBus) Publish(p EventPayload) {
 	b.mu.Lock()
 	b.seq++
 	ev := Event{Seq: b.seq, Kind: p.EventKind(), AtMS: sinceMillis(b.t0, time.Now()), Data: p}
-	if b.ringCap > 0 {
-		if len(b.ring) == b.ringCap {
-			copy(b.ring, b.ring[1:])
-			b.ring[len(b.ring)-1] = ev
-		} else {
-			b.ring = append(b.ring, ev)
-		}
+	if len(b.ring) < b.ringCap {
+		b.ring = append(b.ring, ev)
+	} else if b.ringCap > 0 {
+		b.ring[b.head] = ev
+		b.head = (b.head + 1) % b.ringCap
 	}
 	for _, sub := range b.subs {
 		select {
@@ -102,13 +104,9 @@ func (b *EventBus) Subscribe(buffer int) *Subscription {
 	}
 	sub := &Subscription{bus: b, ch: make(chan Event, buffer)}
 	b.mu.Lock()
-	replay := b.ring
-	if len(replay) > buffer {
-		replay = replay[len(replay)-buffer:]
-	}
-	for _, ev := range replay {
-		//lint:ignore lockorder replay is pre-truncated to the buffer capacity and the channel is not yet registered, so every send fits without blocking
-		sub.ch <- ev // fits by construction: the channel is empty
+	for i := max(len(b.ring)-buffer, 0); i < len(b.ring); i++ {
+		//lint:ignore lockorder the loop sends at most the buffer capacity and the channel is not yet registered, so every send fits without blocking
+		sub.ch <- b.ring[(b.head+i)%len(b.ring)] // fits by construction: the channel is empty
 	}
 	b.subs = append(b.subs, sub)
 	b.mu.Unlock()
@@ -169,9 +167,8 @@ func (b *EventBus) Replay() []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Event, len(b.ring))
-	copy(out, b.ring)
-	return out
+	out := make([]Event, 0, len(b.ring))
+	return append(append(out, b.ring[b.head:]...), b.ring[:b.head]...)
 }
 
 // Subscription is one subscriber's view of the bus.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -157,7 +158,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if err := writeSSE(w, ev); err != nil {
+			if err := WriteSSE(w, ev); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -165,8 +166,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE renders one event as an SSE frame.
-func writeSSE(w http.ResponseWriter, ev Event) error {
+// WriteSSE renders one event as an SSE frame: "event: kind", "id:
+// seq" and the event envelope as JSON data. It is the one frame format
+// of every event stream, the /events endpoint and mpmcsd's solve
+// streams alike.
+func WriteSSE(w io.Writer, ev Event) error {
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return err

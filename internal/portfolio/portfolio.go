@@ -41,11 +41,10 @@ type Engine struct {
 }
 
 // DefaultEngines returns the standard portfolio: the three algorithms of
-// internal/maxsat, WMSU1 both plain and stratified, each under its own name.
+// internal/maxsat, each under its own name.
 func DefaultEngines() []Engine {
 	return []Engine{
-		{Name: "wmsu1", Solver: &maxsat.WMSU1{}},
-		{Name: "wmsu1-strat", Solver: &maxsat.WMSU1{Stratified: true}},
+		{Name: "wmsu1-strat", Solver: &maxsat.WMSU1{}},
 		{Name: "linear-su", Solver: &maxsat.LinearSU{}},
 		{Name: "branch-bound", Solver: &maxsat.BranchBound{}},
 	}
@@ -137,17 +136,20 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 }
 
 // SolveSequential is Solve with one engine in flight: engine i+1 starts
-// only after engine i returned without a definitive answer, so the
-// first definitive engine in slice order wins. Engines after the winner
-// never start and keep a name-only EngineReport. It gives tests a
-// deterministic winner and benchmarks a single-threaded race.
+// only after engine i returned without a definitive answer and without
+// closing the shared bounds, so the first engine in slice order that
+// settles the instance wins. Engines after the winner never start and
+// keep a name-only EngineReport. It gives tests a deterministic winner
+// and benchmarks a single-threaded race.
 func SolveSequential(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result, Report, error) {
 	return race(ctx, inst, engines, 1)
 }
 
 // race runs the portfolio with at most inFlight engines at a time,
 // starting them in slice order; a finished engine without a definitive
-// answer makes room for the next one until some engine wins. Engines
+// answer makes room for the next one until some engine wins or the
+// shared bounds close (the anytime synthesis then proves the closing
+// incumbent optimal, so a later engine could only lose). Engines
 // still start after the context is done: a small instance can be
 // solved outright before an engine first polls it.
 func race(ctx context.Context, inst *cnf.WCNF, engines []Engine, inFlight int) (maxsat.Result, Report, error) {
@@ -204,10 +206,10 @@ func race(ctx context.Context, inst *cnf.WCNF, engines []Engine, inFlight int) (
 
 	// Engines [0, workers) start unconditionally, one per worker
 	// goroutine. A worker whose engine ended without a definitive
-	// answer takes the next unstarted engine while nobody has won. The
-	// caller only waits: running worker 0 on it changes which engines
-	// the scheduler runs first, and on 2 vCPUs that slowed the
-	// benchmark's topk-deep median by a quarter.
+	// answer takes the next unstarted engine while nobody has won and
+	// the bounds are open. The caller only waits: running worker 0 on
+	// it changes which engines the scheduler runs first, and on 2 vCPUs
+	// that slowed the benchmark's topk-deep median by a quarter.
 	workers := min(inFlight, len(engines))
 	var (
 		mu     sync.Mutex
@@ -225,7 +227,7 @@ func race(ctx context.Context, inst *cnf.WCNF, engines []Engine, inFlight int) (
 				report.Elapsed = time.Since(start)
 				cancel() // stop the stragglers
 			}
-			if more = winner < 0 && next < len(engines); more {
+			if more = winner < 0 && !bounds.Closed() && next < len(engines); more {
 				i = next
 				next++
 			}

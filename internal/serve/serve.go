@@ -286,7 +286,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, topk bool) 
 	bus := s.bus
 	var sub *obs.Subscription
 	if stream {
-		bus = obs.NewEventBus()
+		bus = obs.NewEventBusRing(0) // subscribed before its first publish: nothing to replay
 		sub = bus.Subscribe(256)
 		defer sub.Close()
 	}
@@ -545,14 +545,9 @@ func (s *sseWriter) comment(text string) error {
 	return err
 }
 
-// event renders one bus event, keeping the envelope format of the
-// obs /events endpoint (event: kind, id: seq, data: envelope JSON).
+// event renders one bus event in the obs /events frame format.
 func (s *sseWriter) event(ev obs.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(s.w, "event: %s\nid: %d\ndata: %s\n\n", ev.Kind, ev.Seq, data)
+	err := obs.WriteSSE(s.w, ev)
 	s.f.Flush()
 	return err
 }

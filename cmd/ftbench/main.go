@@ -7,7 +7,7 @@
 //
 //	ftbench -exp all
 //	ftbench -exp e4 -sizes 50,100,500,1000 -timeout 60s
-//	ftbench -exp e4 -trace spans.json -metrics - -obs-listen localhost:6060
+//	ftbench -exp e4 -trace spans.json -metrics -
 package main
 
 import (
@@ -31,17 +31,14 @@ type params struct {
 	timeout time.Duration
 	tracer  obs.Tracer
 	metrics *obs.Metrics
-	bus     *obs.EventBus
 }
 
 // options applies the shared observability configuration to a
 // per-experiment Options value; every experiment builds its Options
-// through this helper so -trace/-metrics/-obs-listen cover all of
-// them.
+// through this helper so -trace and -metrics cover all of them.
 func (p params) options(o core.Options) core.Options {
 	o.Tracer = p.tracer
 	o.Metrics = p.metrics
-	o.Bus = p.bus
 	return o
 }
 
@@ -90,7 +87,6 @@ func run(args []string, stdout io.Writer) (err error) {
 		traceOut = fs.String("trace", "", "write a hierarchical span trace of every analysis as JSON")
 		metrics  = fs.String("metrics", "", "write a metrics snapshot in the /metrics Prometheus text format ('-' for stderr)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile covering the whole run")
-		obsAddr  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -126,19 +122,6 @@ func run(args []string, stdout io.Writer) (err error) {
 				err = werr
 			}
 		}()
-	}
-	if *obsAddr != "" {
-		if p.metrics == nil {
-			p.metrics = obs.NewMetrics()
-		}
-		p.bus = obs.NewEventBus()
-		srv := obs.NewServer(p.metrics, p.bus)
-		bound, serr := srv.Start(*obsAddr)
-		if serr != nil {
-			return serr
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ftbench: telemetry on http://%s/metrics and http://%s/events\n", bound, bound)
 	}
 	if *cpuProf != "" {
 		stop, perr := obs.StartCPUProfile(*cpuProf)

@@ -81,6 +81,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad size", []string{"-exp", "e4", "-sizes", "abc"}, ""},
 		{"size too small", []string{"-exp", "e4", "-sizes", "1"}, ""},
 		{"no fleet mode", []string{"-fleet", "../../testdata"}, "flag provided but not defined"},
+		{"no telemetry server", []string{"-obs-listen", "127.0.0.1:0", "-exp", "e11"}, "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

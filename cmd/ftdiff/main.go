@@ -42,7 +42,6 @@ import (
 	"mpmcs4fta/internal/differ"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/gen"
-	"mpmcs4fta/internal/obs"
 )
 
 func main() {
@@ -65,7 +64,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		timeout  = fs.Duration("timeout", time.Minute, "per-engine solve timeout")
 		deadline = fs.Duration("deadline", 0, "anytime mode: run each engine under this short budget and cross-check FEASIBLE answers against the BDD oracle (disables -topk)")
 		verbose  = fs.Bool("v", false, "print every report, not only divergent ones")
-		obsAddr  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, nil // flag package already printed the error
@@ -87,20 +85,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		opts.TopK = 0
 	}
 	ctx := context.Background()
-	if *obsAddr != "" {
-		// The differ's engines read the bus and metrics straight from
-		// the context, so no differ.Options plumbing is needed.
-		metrics := obs.NewMetrics()
-		bus := obs.NewEventBus()
-		srv := obs.NewServer(metrics, bus)
-		bound, serr := srv.Start(*obsAddr)
-		if serr != nil {
-			return 2, serr
-		}
-		defer srv.Close()
-		ctx = obs.ContextWithBus(obs.ContextWithMetrics(ctx, metrics), bus)
-		fmt.Fprintf(os.Stderr, "ftdiff: telemetry on http://%s/metrics and http://%s/events\n", bound, bound)
-	}
 	checked, divergent := 0, 0
 
 	show := func(rep *differ.Report) {

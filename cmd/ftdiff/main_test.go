@@ -82,6 +82,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-random", "-3"},    // negative count
 		{"nonexistent.json"}, // unreadable file
 		{"main.go"},          // unknown extension
+		// Removed flags: the tree alone would pass, so exit 2 is the flag.
+		{"-obs-listen", "127.0.0.1:0", "../../testdata/fps.json"},
 	}
 	for _, args := range cases {
 		var out strings.Builder

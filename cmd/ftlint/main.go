@@ -3,10 +3,11 @@
 // goroutinewait, and the summary-driven second generation — arenaref
 // (clause-arena reference lifetimes across may-GC calls), lockorder
 // (global lock-ordering cycles and may-block calls under a mutex),
-// exactlyonce (pool-task result delivery that cannot wedge a worker)
-// and errtaxonomy (errors.Is over ==, %w over %v, serve responses
-// through the status.go table). It is the mechanical enforcement of
-// invariants previously restored by hand after incidents.
+// exactlyonce (result delivery that cannot leave a solve stuck
+// holding its analysis slot) and errtaxonomy (errors.Is over ==, %w
+// over %v, serve responses through the status.go table). It is the
+// mechanical enforcement of invariants previously restored by hand
+// after incidents.
 //
 // Usage, over go package patterns:
 //

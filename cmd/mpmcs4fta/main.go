@@ -11,10 +11,10 @@
 //	          [-engine portfolio|bdd] [-sequential] [-timeout 30s] [-pg]
 //	          [-output out.json] [-dot out.dot] [-wcnf out.wcnf] [-report]
 //	          [-trace spans.json] [-metrics metrics.prom]
-//	          [-cpuprofile cpu.prof] [-obs-listen addr] [-obs-linger 30s]
+//	          [-cpuprofile cpu.prof]
 //
 // The input file may also be given as a positional argument. -metrics
-// writes the Prometheus text that -obs-listen serves on /metrics.
+// writes the Prometheus text that mpmcsd serves on /metrics.
 package main
 
 import (
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"mpmcs4fta"
 	"mpmcs4fta/internal/core"
@@ -65,8 +64,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 		traceFile  = fs.String("trace", "", "write a hierarchical span trace of the analysis as JSON")
 		metricsOut = fs.String("metrics", "", "write a metrics snapshot in the /metrics Prometheus text format ('-' for stderr)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the analysis")
-		obsListen  = fs.String("obs-listen", "", "serve live telemetry on this address: /metrics (Prometheus), /events (SSE bound trajectory), /debug/pprof")
-		obsLinger  = fs.Duration("obs-linger", 0, "with -obs-listen: keep serving telemetry this long after the analysis completes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitUsage, err
@@ -112,28 +109,6 @@ func run(args []string, stdout io.Writer) (code int, err error) {
 				code, err = serve.ExitError, werr
 			}
 		}()
-	}
-	if *obsListen != "" {
-		if metrics == nil {
-			metrics = mpmcs4fta.NewMetrics()
-			opts.Metrics = metrics
-		}
-		bus := mpmcs4fta.NewEventBus()
-		opts.Bus = bus
-		srv := mpmcs4fta.NewObsServer(metrics, bus)
-		bound, serr := srv.Start(*obsListen)
-		if serr != nil {
-			return serve.ExitError, serr
-		}
-		defer srv.Close()
-		defer func() {
-			// Linger so scrapers and ftmon can still read the terminal
-			// frame from the replay ring after a fast analysis.
-			if *obsLinger > 0 {
-				time.Sleep(*obsLinger)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "mpmcs4fta: telemetry on http://%s/metrics and http://%s/events\n", bound, bound)
 	}
 	if *cpuProfile != "" {
 		stop, perr := obs.StartCPUProfile(*cpuProfile)

@@ -201,6 +201,8 @@ func TestRunErrors(t *testing.T) {
 		{"bad format", []string{"-input", input, "-format", "yaml"}, "unknown input format"},
 		{"no worker knob", []string{"-decompose-workers", "2", input}, "flag provided but not defined"},
 		{"no decomposition knob", []string{"-no-decompose", input}, "flag provided but not defined"},
+		{"no telemetry server", []string{"-obs-listen", "127.0.0.1:0", input}, "flag provided but not defined"},
+		{"no telemetry linger", []string{"-obs-linger", "1s", input}, "flag provided but not defined"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

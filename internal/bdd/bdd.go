@@ -263,56 +263,61 @@ func Compile(order []string, f boolexpr.Expr) (*Manager, Ref, error) {
 // is exhausted.
 func (m *Manager) FromExpr(e boolexpr.Expr) (ref Ref, err error) {
 	defer guard(&err)
-	return m.fromExpr(e)
+	return m.fromExpr(e, boolexpr.NewMemo[Ref](e))
 }
 
-func (m *Manager) fromExpr(e boolexpr.Expr) (Ref, error) {
+func (m *Manager) fromExpr(e boolexpr.Expr, memo *boolexpr.Memo[Ref]) (Ref, error) {
+	out, ok, slot := memo.Get(e)
+	if ok {
+		return out, nil
+	}
 	switch x := e.(type) {
 	case boolexpr.Var:
 		return m.Var(x.Name)
 	case boolexpr.Not:
-		inner, err := m.fromExpr(x.X)
+		inner, err := m.fromExpr(x.X, memo)
 		if err != nil {
 			return False, err
 		}
 		return m.Not(inner), nil
 	case boolexpr.And:
-		out := True
+		out = True
 		for _, c := range x.Xs {
-			f, err := m.fromExpr(c)
+			f, err := m.fromExpr(c, memo)
 			if err != nil {
 				return False, err
 			}
 			out = m.And(out, f)
 		}
-		return out, nil
 	case boolexpr.Or:
-		out := False
+		out = False
 		for _, c := range x.Xs {
-			f, err := m.fromExpr(c)
+			f, err := m.fromExpr(c, memo)
 			if err != nil {
 				return False, err
 			}
 			out = m.Or(out, f)
 		}
-		return out, nil
 	case boolexpr.AtLeast:
 		fs := make([]Ref, len(x.Xs))
 		for i, c := range x.Xs {
-			f, err := m.fromExpr(c)
+			f, err := m.fromExpr(c, memo)
 			if err != nil {
 				return False, err
 			}
 			fs[i] = f
 		}
-		return m.AtLeast(x.K, fs), nil
+		out = m.AtLeast(x.K, fs)
 	case boolexpr.Const:
 		if x.B {
 			return True, nil
 		}
 		return False, nil
+	default:
+		return False, fmt.Errorf("bdd: unknown expression type %T", e)
 	}
-	return False, fmt.Errorf("bdd: unknown expression type %T", e)
+	memo.Put(slot, out)
+	return out, nil
 }
 
 // Eval evaluates f under the assignment (missing variables read false).

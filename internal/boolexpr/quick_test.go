@@ -57,16 +57,6 @@ func TestQuickDualPointwise(t *testing.T) {
 	}
 }
 
-// TestQuickNNFPointwise: NNF preserves the function at a random point.
-func TestQuickNNFPointwise(t *testing.T) {
-	property := func(g genExpr) bool {
-		return NNF(g.Expr).Eval(g.Assign) == g.Expr.Eval(g.Assign)
-	}
-	if err := quick.Check(property, quickConfig()); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickSimplifyPointwise: Simplify preserves the function.
 func TestQuickSimplifyPointwise(t *testing.T) {
 	property := func(g genExpr) bool {

@@ -13,74 +13,38 @@ import "fmt"
 // dualised). Constants are complemented so that the duality
 // Dual(f)(y) = ¬f(¬y) holds for every expression.
 func Dual(e Expr) Expr {
+	return dual(e, NewMemo[Expr](e))
+}
+
+func dual(e Expr, m *Memo[Expr]) Expr {
+	d, ok, slot := m.Get(e)
+	if ok {
+		return d
+	}
 	switch x := e.(type) {
 	case Var:
 		return x
 	case Not:
-		return Not{X: Dual(x.X)}
+		return Not{X: dual(x.X, m)}
 	case And:
-		return Or{Xs: dualAll(x.Xs)}
+		d = Or{Xs: dualAll(x.Xs, m)}
 	case Or:
-		return And{Xs: dualAll(x.Xs)}
+		d = And{Xs: dualAll(x.Xs, m)}
 	case AtLeast:
-		return AtLeast{K: len(x.Xs) - x.K + 1, Xs: dualAll(x.Xs)}
+		d = AtLeast{K: len(x.Xs) - x.K + 1, Xs: dualAll(x.Xs, m)}
 	case Const:
 		return Const{B: !x.B}
+	default:
+		panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
 	}
-	panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
+	m.Put(slot, d)
+	return d
 }
 
-func dualAll(xs []Expr) []Expr {
+func dualAll(xs []Expr, m *Memo[Expr]) []Expr {
 	out := make([]Expr, len(xs))
 	for i, x := range xs {
-		out[i] = Dual(x)
-	}
-	return out
-}
-
-// NNF rewrites e into negation normal form: negations appear only
-// directly above variables, using De Morgan's laws. AtLeast nodes are
-// preserved when positive; a negated AtLeast(k, xs) becomes
-// AtLeast(n-k+1, ¬xs) over negated operands (at most k-1 true ⇔ at
-// least n-k+1 false).
-func NNF(e Expr) Expr {
-	return nnf(e, false)
-}
-
-func nnf(e Expr, negate bool) Expr {
-	switch x := e.(type) {
-	case Var:
-		if negate {
-			return Not{X: x}
-		}
-		return x
-	case Not:
-		return nnf(x.X, !negate)
-	case And:
-		if negate {
-			return Or{Xs: nnfAll(x.Xs, true)}
-		}
-		return And{Xs: nnfAll(x.Xs, false)}
-	case Or:
-		if negate {
-			return And{Xs: nnfAll(x.Xs, true)}
-		}
-		return Or{Xs: nnfAll(x.Xs, false)}
-	case AtLeast:
-		if negate {
-			return AtLeast{K: len(x.Xs) - x.K + 1, Xs: nnfAll(x.Xs, true)}
-		}
-		return AtLeast{K: x.K, Xs: nnfAll(x.Xs, false)}
-	case Const:
-		return Const{B: x.B != negate}
-	}
-	panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
-}
-
-func nnfAll(xs []Expr, negate bool) []Expr {
-	out := make([]Expr, len(xs))
-	for i, x := range xs {
-		out[i] = nnf(x, negate)
+		out[i] = dual(x, m)
 	}
 	return out
 }
@@ -90,11 +54,19 @@ func nnfAll(xs []Expr, negate bool) []Expr {
 // disjunctions, and collapsing of single-operand gates. It preserves
 // logical equivalence.
 func Simplify(e Expr) Expr {
+	return simplify(e, NewMemo[Expr](e))
+}
+
+func simplify(e Expr, m *Memo[Expr]) Expr {
+	s, ok, slot := m.Get(e)
+	if ok {
+		return s
+	}
 	switch x := e.(type) {
 	case Var:
 		return x
 	case Not:
-		inner := Simplify(x.X)
+		inner := simplify(x.X, m)
 		switch y := inner.(type) {
 		case Const:
 			return Const{B: !y.B}
@@ -103,68 +75,110 @@ func Simplify(e Expr) Expr {
 		}
 		return Not{X: inner}
 	case And:
-		var flat []Expr
-		for _, c := range x.Xs {
-			s := Simplify(c)
-			switch y := s.(type) {
-			case Const:
-				if !y.B {
-					return False
-				}
-				// true operand: drop.
-			case And:
-				flat = append(flat, y.Xs...)
-			default:
-				flat = append(flat, s)
-			}
-		}
-		return collapse(flat, true)
+		s = simplifyJunction(x.Xs, true, m)
 	case Or:
-		var flat []Expr
-		for _, c := range x.Xs {
-			s := Simplify(c)
-			switch y := s.(type) {
-			case Const:
-				if y.B {
-					return True
-				}
-			case Or:
-				flat = append(flat, y.Xs...)
-			default:
-				flat = append(flat, s)
-			}
-		}
-		return collapse(flat, false)
+		s = simplifyJunction(x.Xs, false, m)
 	case AtLeast:
 		k := x.K
 		xs := make([]Expr, 0, len(x.Xs))
 		for _, c := range x.Xs {
-			s := Simplify(c)
-			if y, ok := s.(Const); ok {
+			sc := simplify(c, m)
+			if y, ok := sc.(Const); ok {
 				if y.B {
 					k-- // a true operand lowers the threshold
 				}
 				continue // false operands never contribute
 			}
-			xs = append(xs, s)
+			xs = append(xs, sc)
 		}
 		switch {
 		case k <= 0:
-			return True
+			s = True
 		case k > len(xs):
-			return False
-		case k == 1:
-			return Simplify(Or{Xs: xs})
-		case k == len(xs):
-			return Simplify(And{Xs: xs})
+			s = False
+		case k == 1, k == len(xs):
+			isAnd := k == len(xs)
+			var flat []Expr
+			for _, c := range xs {
+				flat = appendFlat(flat, c, isAnd)
+			}
+			s = collapse(flat, isAnd)
+		default:
+			s = AtLeast{K: k, Xs: xs}
 		}
-		return AtLeast{K: k, Xs: xs}
 	case Const:
 		return x
+	default:
+		panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
 	}
-	panic(fmt.Sprintf("boolexpr: unknown expression type %T", e))
+	m.Put(slot, s)
+	return s
 }
 
+// simplifyJunction simplifies a conjunction (isAnd) or disjunction of
+// xs: a dominating constant decides it, neutral constants drop out and
+// nested gates of the same kind are flattened.
+func simplifyJunction(xs []Expr, isAnd bool, m *Memo[Expr]) Expr {
+	flat, decided := appendJunction(make([]Expr, 0, len(xs)), xs, isAnd, m)
+	if decided {
+		return Const{B: !isAnd} // false in a conjunction, true in a disjunction
+	}
+	return collapse(flat, isAnd)
+}
+
+// appendJunction appends the simplified operands xs of a junction to
+// flat; decided reports a dominating constant among them. An operand
+// that is an unshared gate of the same kind is spliced in operand by
+// operand rather than simplified into a list of its own and copied: on
+// a deep chain of same-kind gates that copying is quadratic.
+func appendJunction(flat, xs []Expr, isAnd bool, m *Memo[Expr]) (_ []Expr, decided bool) {
+	for _, c := range xs {
+		if inner, ok := junctionOperands(c, isAnd); ok && !m.Shared(c) {
+			if flat, decided = appendJunction(flat, inner, isAnd, m); decided {
+				return flat, true
+			}
+			continue
+		}
+		s := simplify(c, m)
+		if y, ok := s.(Const); ok {
+			if y.B != isAnd {
+				return flat, true
+			}
+			continue
+		}
+		flat = appendFlat(flat, s, isAnd)
+	}
+	return flat, false
+}
+
+// junctionOperands returns e's operands if e is a conjunction (isAnd)
+// or disjunction.
+func junctionOperands(e Expr, isAnd bool) ([]Expr, bool) {
+	switch x := e.(type) {
+	case And:
+		return x.Xs, isAnd
+	case Or:
+		return x.Xs, !isAnd
+	}
+	return nil, false
+}
+
+// appendFlat appends a simplified operand to a conjunction (isAnd) or
+// disjunction, splicing in the operands of a nested gate of the same
+// kind.
+func appendFlat(flat []Expr, s Expr, isAnd bool) []Expr {
+	switch y := s.(type) {
+	case And:
+		if isAnd {
+			return append(flat, y.Xs...)
+		}
+	case Or:
+		if !isAnd {
+			return append(flat, y.Xs...)
+		}
+	}
+	return append(flat, s)
+}
 func collapse(xs []Expr, isAnd bool) Expr {
 	switch len(xs) {
 	case 0:

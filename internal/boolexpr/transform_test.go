@@ -64,47 +64,6 @@ func TestDualInvolution(t *testing.T) {
 	}
 }
 
-func TestNNFEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cfg := DefaultRandomConfig()
-	cfg.NumVars = 6
-	cfg.AllowConst = true
-	for trial := 0; trial < 200; trial++ {
-		f := Random(rng, cfg)
-		g := NNF(f)
-		if !noInnerNegation(g) {
-			t.Fatalf("NNF(%v) = %v still has non-literal negations", f, g)
-		}
-		assertEquivalent(t, f, g)
-	}
-}
-
-func noInnerNegation(e Expr) bool {
-	switch x := e.(type) {
-	case Var, Const:
-		return true
-	case Not:
-		_, isVar := x.X.(Var)
-		return isVar
-	case And:
-		return allNoInnerNegation(x.Xs)
-	case Or:
-		return allNoInnerNegation(x.Xs)
-	case AtLeast:
-		return allNoInnerNegation(x.Xs)
-	}
-	return false
-}
-
-func allNoInnerNegation(xs []Expr) bool {
-	for _, x := range xs {
-		if !noInnerNegation(x) {
-			return false
-		}
-	}
-	return true
-}
-
 func TestSimplifyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cfg := DefaultRandomConfig()

@@ -69,7 +69,7 @@ func Tseitin(e boolexpr.Expr, opts TseitinOptions) (*Encoding, error) {
 		return enc, nil
 	}
 
-	rootID, err := c.build(simplified)
+	rootID, err := c.build(simplified, boolexpr.NewMemo[int](simplified))
 	if err != nil {
 		return nil, err
 	}
@@ -119,49 +119,59 @@ func (c *circuit) varNode(name string) int {
 	return id
 }
 
-func (c *circuit) build(e boolexpr.Expr) (int, error) {
+// build returns the circuit node of e. Shared gates are built once
+// through memo; building one again would add no node (gate hash-conses)
+// but would walk it once per path.
+func (c *circuit) build(e boolexpr.Expr, memo *boolexpr.Memo[int]) (int, error) {
+	id, ok, slot := memo.Get(e)
+	if ok {
+		return id, nil
+	}
 	switch x := e.(type) {
 	case boolexpr.Var:
 		return c.varNode(x.Name), nil
 	case boolexpr.Not:
-		id, err := c.build(x.X)
+		inner, err := c.build(x.X, memo)
 		if err != nil {
 			return 0, err
 		}
-		return -id, nil
+		return -inner, nil
 	case boolexpr.And:
-		kids, err := c.buildAll(x.Xs)
+		kids, err := c.buildAll(x.Xs, memo)
 		if err != nil {
 			return 0, err
 		}
-		return c.gate(opAnd, kids), nil
+		id = c.gate(opAnd, kids)
 	case boolexpr.Or:
-		kids, err := c.buildAll(x.Xs)
+		kids, err := c.buildAll(x.Xs, memo)
 		if err != nil {
 			return 0, err
 		}
-		return c.gate(opOr, kids), nil
+		id = c.gate(opOr, kids)
 	case boolexpr.AtLeast:
-		kids, err := c.buildAll(x.Xs)
+		kids, err := c.buildAll(x.Xs, memo)
 		if err != nil {
 			return 0, err
 		}
 		if x.K < 1 || x.K > len(kids) {
 			return 0, fmt.Errorf("cnf: atleast threshold %d outside 1..%d", x.K, len(kids))
 		}
-		return c.threshold(x.K, kids), nil
+		id = c.threshold(x.K, kids)
 	case boolexpr.Const:
 		// Simplify folds constants everywhere (including AtLeast
 		// operands), so none can reach the builder.
 		return 0, fmt.Errorf("cnf: unexpected constant in simplified expression")
+	default:
+		return 0, fmt.Errorf("cnf: unknown expression type %T", e)
 	}
-	return 0, fmt.Errorf("cnf: unknown expression type %T", e)
+	memo.Put(slot, id)
+	return id, nil
 }
 
-func (c *circuit) buildAll(xs []boolexpr.Expr) ([]int, error) {
+func (c *circuit) buildAll(xs []boolexpr.Expr, memo *boolexpr.Memo[int]) ([]int, error) {
 	kids := make([]int, len(xs))
 	for i, x := range xs {
-		id, err := c.build(x)
+		id, err := c.build(x, memo)
 		if err != nil {
 			return nil, err
 		}

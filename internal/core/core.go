@@ -5,7 +5,7 @@
 // The six steps of the resolution method map to this package as
 // follows:
 //
-//	Step 1 (logical transformation)  — Steps.SuccessFormula via boolexpr.Dual
+//	Step 1 (logical transformation)  — Steps.SuccessFormula via ft.Tree.Formulas
 //	Step 2 (CNF conversion)          — Steps.Encoding via cnf.Tseitin
 //	Step 3 (−log weights)            — Steps.Weights via LogWeights
 //	Step 4 (WPMS instance)           — Steps.Instance (hard CNF + unit softs)
@@ -88,8 +88,8 @@ type Options struct {
 	Metrics *obs.Metrics
 	// Bus, when non-nil, receives live solver events — solve and engine
 	// lifecycle, bound improvements, restarts, heartbeats — while the
-	// analysis runs (see obs.EventBus and obs.Server). Nil disables the
-	// event path at zero cost.
+	// analysis runs (see obs.EventBus; mpmcsd streams them on /events
+	// and ?stream=1). Nil disables the event path at zero cost.
 	Bus *obs.EventBus
 	// NoDecompose is ignored: every analysis solves the tree as one
 	// WCNF instance.
@@ -169,13 +169,11 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 	}
 
 	sp = parent.StartSpan("formula")
-	f, err := tree.Formula()
+	f, success, err := tree.Formulas()
+	sp.End()
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	success := boolexpr.Dual(f)
-	sp.End()
 
 	events := tree.Events()
 	order := make([]string, len(events))

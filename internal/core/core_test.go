@@ -513,3 +513,37 @@ func TestAnalyzeStratifiedWinsPinnedTree(t *testing.T) {
 		t.Errorf("status = %s, want %s", sol.Status, maxsat.Optimal)
 	}
 }
+
+// TestAnalyzeSharedGateLadder: the top of a 40-level ladder is reached
+// along 2^40 paths through shared gates. Every step of the pipeline
+// must visit a shared gate once, so the analysis takes moments.
+func TestAnalyzeSharedGateLadder(t *testing.T) {
+	tree := gen.Ladder(40)
+	type outcome struct {
+		sol *Solution
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		sol, err := Analyze(context.Background(), tree, Options{})
+		done <- outcome{sol, err}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Analyze on a 40-level ladder took over 10s: a shared gate is walked once per path")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.sol.Status != "OPTIMAL" {
+		t.Errorf("status %s, want OPTIMAL", got.sol.Status)
+	}
+	if ids := got.sol.CutSetIDs(); !reflect.DeepEqual(ids, []string{"e40"}) {
+		t.Errorf("MPMCS %v, want [e40]", ids)
+	}
+	if err := VerifySolution(tree, got.sol); err != nil {
+		t.Error(err)
+	}
+}

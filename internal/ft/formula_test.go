@@ -66,9 +66,12 @@ func TestSuccessFormulaDuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := tree.SuccessFormula()
+	fault, y, err := tree.Formulas()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !boolexpr.Equal(fault, f) || !boolexpr.Equal(y, boolexpr.Dual(f)) {
+		t.Errorf("Formulas = %v, %v; want Formula() and its Dual", fault, y)
 	}
 	vars := boolexpr.Vars(f)
 	boolexpr.AllAssignments(vars, func(assign map[string]bool) bool {

@@ -168,6 +168,28 @@ func RailwayCrossing() *ft.Tree {
 	return t
 }
 
+// Ladder returns a tree that shares a gate at every level: g_i =
+// OR(g_{i+1}, h_i) and h_i = AND(g_{i+1}, e_i) for i < levels, where
+// g_levels is the basic event e_levels and g_0 is the top. The top is
+// reached from e_levels along 2^levels paths, so a walk that does not
+// visit each shared gate once takes exponential time. The top event
+// is equivalent to e_levels alone, the only minimal cut set.
+func Ladder(levels int) *ft.Tree {
+	t := ft.New(fmt.Sprintf("Ladder%d", levels))
+	for i := 0; i <= levels; i++ {
+		mustAdd(t.AddEvent(fmt.Sprintf("e%d", i), 0.1))
+	}
+	below := fmt.Sprintf("e%d", levels)
+	for i := levels - 1; i >= 0; i-- {
+		h, g := fmt.Sprintf("h%d", i), fmt.Sprintf("g%d", i)
+		mustAdd(t.AddAnd(h, below, fmt.Sprintf("e%d", i)))
+		mustAdd(t.AddOr(g, below, h))
+		below = g
+	}
+	t.SetTop(below)
+	return t
+}
+
 func mustAdd(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("gen: building a named tree failed: %v", err))

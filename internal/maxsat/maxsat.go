@@ -118,7 +118,7 @@ type Solver interface {
 // Implementations must be safe for concurrent use by multiple engines.
 type Progress interface {
 	// PublishModel reports a feasible model and its (verified) cost.
-	// The manager keeps it only if it improves the global incumbent.
+	// The cost becomes the global incumbent bound if it improves it.
 	// The model must not be mutated after publication.
 	PublishModel(cost int64, model []bool)
 	// PublishLower reports a proven lower bound on the optimum.

@@ -85,8 +85,9 @@ func PrometheusName(name string) string {
 // Prometheus text exposition format 0.0.4: every line is a comment, a
 // blank, or "name[{labels}] value [timestamp]" with a well-formed name
 // and a parseable value, and every # TYPE declares a known metric
-// type. Returns the number of samples on success. The CI smoke job
-// and ftmon -once use it to gate the /metrics endpoint.
+// type. Returns the number of samples on success. The /metrics tests
+// of internal/obs, internal/serve and mpmcs4fta -metrics use it to gate
+// the exposition.
 func ValidatePrometheusText(r io.Reader) (samples int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)

@@ -4,15 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
-	"sync"
 	"time"
 )
 
-// Server is the embeddable telemetry endpoint, and the repo's one
-// pprof server, behind the CLIs' --obs-listen flag and mpmcsd:
+// SSEKeepAlive is the interval of the comment pings that keep an idle
+// event stream open through proxies.
+const SSEKeepAlive = 15 * time.Second
+
+// NewHandler returns the telemetry endpoints over a metrics registry
+// and an event bus:
 //
 //	/metrics       Prometheus text format 0.0.4 (counters and
 //	               histograms, plus the bus's own health gauges)
@@ -21,36 +23,14 @@ import (
 //	/healthz       liveness probe
 //	/debug/pprof/* the standard profiling handlers
 //
-// A Server with a nil Metrics or nil EventBus still serves: /metrics
-// is then empty and /events only sends keepalives. Create with
-// NewServer, start with Start, stop with Close; Handler exposes the
-// mux for mounting into an existing server instead.
-type Server struct {
-	metrics *Metrics
-	bus     *EventBus
-
-	// KeepAlive is the SSE comment-ping interval keeping idle
-	// connections open through proxies; set before Start/Handler.
-	KeepAlive time.Duration
-
-	mu  sync.Mutex
-	srv *http.Server // guarded by mu
-	ln  net.Listener // guarded by mu
-	wg  sync.WaitGroup
-}
-
-// NewServer returns an unstarted telemetry server over the given
-// registry and bus (either may be nil).
-func NewServer(m *Metrics, bus *EventBus) *Server {
-	return &Server{metrics: m, bus: bus, KeepAlive: 15 * time.Second}
-}
-
-// Handler returns the telemetry mux, for embedding into an existing
-// http.Server.
-func (s *Server) Handler() http.Handler {
+// Either may be nil: /metrics is then empty and /events only sends
+// keepalives. The handler opens no listener; mpmcsd mounts it beside
+// its solve endpoints.
+func NewHandler(m *Metrics, bus *EventBus) http.Handler {
+	t := &telemetry{metrics: m, bus: bus}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/events", s.handleEvents)
+	mux.HandleFunc("/metrics", t.handleMetrics)
+	mux.HandleFunc("/events", t.handleEvents)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -63,53 +43,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Start listens on addr (e.g. ":9090" or "127.0.0.1:0") and serves the
-// telemetry endpoints until Close. It returns the bound address, so
-// ":0" callers learn the chosen port.
-func (s *Server) Start(addr string) (boundAddr string, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("obs: telemetry listen on %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	s.mu.Lock()
-	s.srv, s.ln = srv, ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	//lint:ignore goroutinewait server goroutine lives until Close shuts the listener; Close joins it via wg
-	go func() {
-		defer s.wg.Done()
-		srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
-	}()
-	return ln.Addr().String(), nil
-}
-
-// Close stops the listener, disconnects every in-flight request
-// (including blocked SSE streams) and waits for the serve goroutine to
-// exit. Safe to call without Start and more than once.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	srv := s.srv
-	s.srv, s.ln = nil, nil
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	err := srv.Close() // Close (not Shutdown): SSE streams never drain on their own
-	s.wg.Wait()
-	return err
+type telemetry struct {
+	metrics *Metrics
+	bus     *EventBus
 }
 
 // handleMetrics serves the Prometheus exposition, appending the bus's
 // own health as gauges so scrapers can watch for event loss.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (t *telemetry) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w) //nolint:errcheck // client gone mid-write
-	if s.bus.Enabled() {
-		fmt.Fprintf(w, "# TYPE obs_bus_events_published counter\nobs_bus_events_published %d\n", s.bus.Published())
-		fmt.Fprintf(w, "# TYPE obs_bus_events_dropped counter\nobs_bus_events_dropped %d\n", s.bus.Dropped())
-		fmt.Fprintf(w, "# TYPE obs_bus_subscribers gauge\nobs_bus_subscribers %d\n", s.bus.Subscribers())
-		fmt.Fprintf(w, "# TYPE obs_bus_queue_depth gauge\nobs_bus_queue_depth %d\n", s.bus.QueueDepth())
+	t.metrics.WritePrometheus(w) //nolint:errcheck // client gone mid-write
+	if t.bus.Enabled() {
+		fmt.Fprintf(w, "# TYPE obs_bus_events_published counter\nobs_bus_events_published %d\n", t.bus.Published())
+		fmt.Fprintf(w, "# TYPE obs_bus_events_dropped counter\nobs_bus_events_dropped %d\n", t.bus.Dropped())
+		fmt.Fprintf(w, "# TYPE obs_bus_subscribers gauge\nobs_bus_subscribers %d\n", t.bus.Subscribers())
+		fmt.Fprintf(w, "# TYPE obs_bus_queue_depth gauge\nobs_bus_queue_depth %d\n", t.bus.QueueDepth())
 	}
 }
 
@@ -117,10 +65,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // Event ("event: <kind>", "data: <envelope JSON>", "id: <seq>"),
 // starting with the replay ring so late subscribers see the current
 // trajectory. Keepalive comment lines flow while the solver is quiet.
-// The stream ends when the client disconnects or the server closes; a
-// subscriber that stops reading loses events (bus drop policy) but
-// never blocks the solver.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+// The stream ends when the client disconnects or the hosting server
+// closes the connection; a subscriber that stops reading loses events
+// (bus drop policy) but never blocks the solver.
+func (t *telemetry) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -133,16 +81,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, ": mpmcs4fta event stream\n\n")
 	flusher.Flush()
 
-	sub := s.bus.Subscribe(256)
+	sub := t.bus.Subscribe(256)
 	if sub != nil {
 		defer sub.Close()
 	}
 
-	keepAlive := s.KeepAlive
-	if keepAlive <= 0 {
-		keepAlive = 15 * time.Second
-	}
-	ticker := time.NewTicker(keepAlive)
+	ticker := time.NewTicker(SSEKeepAlive)
 	defer ticker.Stop()
 
 	for {

@@ -8,7 +8,7 @@ import (
 )
 
 // Bounds is the shared bound manager of a cooperative portfolio race:
-// one global incumbent (the cheapest published model and its cost — the
+// one global incumbent cost (the cheapest published model's — the
 // upper bound on the optimum) and one global proven lower bound,
 // written and read concurrently by every engine through the
 // maxsat.Progress views handed out by ForEngine. When the lower bound
@@ -26,8 +26,6 @@ type Bounds struct {
 	mu      sync.Mutex
 	ubSet   bool             // guarded by mu
 	ub      int64            // guarded by mu
-	model   []bool           // guarded by mu
-	owner   string           // engine that published the incumbent; guarded by mu
 	lb      int64            // guarded by mu
 	closed  bool             // guarded by mu
 	onClose func()           // guarded by mu
@@ -52,16 +50,16 @@ func NewBounds(onClose func()) *Bounds {
 // before the race starts; publications are not synchronised with it.
 func (b *Bounds) SetEventBus(bus *obs.EventBus) { b.bus = bus }
 
-// publishModel records a feasible model if it improves the incumbent.
-func (b *Bounds) publishModel(owner string, cost int64, model []bool) {
+// publishModel records a feasible model's cost if it improves the
+// incumbent. The model itself is not kept: each engine returns its own
+// best model, and the race's answer comes from those outcomes.
+func (b *Bounds) publishModel(owner string, cost int64) {
 	b.mu.Lock()
 	b.traffic.ModelsPublished++
 	improved := !b.ubSet || cost < b.ub
 	if improved {
 		b.ubSet = true
 		b.ub = cost
-		b.model = model
-		b.owner = owner
 		b.traffic.ModelsImproved++
 	}
 	fire := b.checkMeetLocked()
@@ -126,14 +124,6 @@ func (b *Bounds) ProvenLower() int64 {
 	return b.lb
 }
 
-// BestModel returns the incumbent model, its cost and the engine that
-// published it; ok is false while no model has been published.
-func (b *Bounds) BestModel() (owner string, cost int64, model []bool, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.owner, b.ub, b.model, b.ubSet
-}
-
 // Closed reports whether the lower bound has met the upper bound.
 func (b *Bounds) Closed() bool {
 	b.mu.Lock()
@@ -162,8 +152,8 @@ type engineProgress struct {
 
 var _ maxsat.Progress = engineProgress{}
 
-func (p engineProgress) PublishModel(cost int64, model []bool) {
-	p.bounds.publishModel(p.name, cost, model)
+func (p engineProgress) PublishModel(cost int64, _ []bool) {
+	p.bounds.publishModel(p.name, cost)
 }
 
 func (p engineProgress) PublishLower(lb int64) {

@@ -20,9 +20,6 @@ func TestBoundsMonotone(t *testing.T) {
 	if ub, ok := b.BestKnown(); !ok || ub != 7 {
 		t.Errorf("BestKnown = %d, %v; want 7, true", ub, ok)
 	}
-	if owner, cost, _, ok := b.BestModel(); !ok || owner != "c" || cost != 7 {
-		t.Errorf("BestModel = %s/%d/%v; want c/7/true", owner, cost, ok)
-	}
 
 	a.PublishLower(1)
 	c.PublishLower(5)

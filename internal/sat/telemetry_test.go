@@ -9,7 +9,7 @@ import (
 )
 
 // TestTrailDepthWithoutBus: the trail-depth histogram is a metrics
-// surface of its own (mpmcs4fta -metrics without -obs-listen), so it
+// surface of its own (mpmcs4fta -metrics, where no bus is attached), so it
 // must be sampled at the poll boundaries even when no bus is attached.
 func TestTrailDepthWithoutBus(t *testing.T) {
 	depth := obs.NewHistogram(obs.DepthBuckets)

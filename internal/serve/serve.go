@@ -125,7 +125,7 @@ type Server struct {
 	cache   *cache
 	metrics *obs.Metrics
 	bus     *obs.EventBus
-	obs     *obs.Server // telemetry mux: /metrics, /events, /healthz, pprof
+	obs     http.Handler // telemetry mux: /metrics, /events, /healthz, pprof
 
 	mu     sync.Mutex
 	closed bool         // guarded by mu
@@ -145,7 +145,7 @@ func New(cfg Config) *Server {
 		cache:   newCache(cfg.CacheEntries),
 		metrics: cfg.Metrics,
 		bus:     cfg.Bus,
-		obs:     obs.NewServer(cfg.Metrics, cfg.Bus),
+		obs:     obs.NewHandler(cfg.Metrics, cfg.Bus),
 	}
 }
 
@@ -160,7 +160,7 @@ func (s *Server) Handler() http.Handler {
 		s.handleSolve(w, r, true)
 	})
 	mux.HandleFunc("GET /v1/solutions/{hash}", s.handleLookup)
-	mux.Handle("/", s.obs.Handler()) // /metrics, /events, /healthz, /debug/pprof
+	mux.Handle("/", s.obs) // /metrics, /events, /healthz, /debug/pprof
 	return mux
 }
 
@@ -322,7 +322,7 @@ func (s *Server) streamSolve(w http.ResponseWriter, r *http.Request, sub *obs.Su
 	if !ok {
 		return
 	}
-	keepalive := time.NewTicker(15 * time.Second)
+	keepalive := time.NewTicker(obs.SSEKeepAlive)
 	defer keepalive.Stop()
 	for {
 		select {

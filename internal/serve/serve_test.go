@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -490,10 +491,68 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	}
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"mpmcsd_requests", "mpmcsd_cache_misses"} {
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Errorf("Content-Type = %q, want the 0.0.4 text format", ct)
+	}
+	// The whole exposition, service counters and solver histograms
+	// alike, must parse as Prometheus text 0.0.4.
+	if n, err := obs.ValidatePrometheusText(bytes.NewReader(text)); err != nil || n == 0 {
+		t.Fatalf("invalid Prometheus exposition (%d samples): %v\n%s", n, err, text)
+	}
+	for _, want := range []string{"mpmcsd_requests", "mpmcsd_cache_misses",
+		"# TYPE solver_sat_call_seconds histogram", `solver_sat_call_seconds_bucket{le="+Inf"}`} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %s:\n%s", want, text)
 		}
+	}
+}
+
+// TestServerCloseUnblocksStreams: Close must disconnect a client
+// blocked on /events and return, leaving no subscription and no
+// goroutine behind.
+func TestServerCloseUnblocksStreams(t *testing.T) {
+	before := runtime.NumGoroutine()
+	bus := obs.NewEventBus()
+	s := New(Config{Workers: 1, Bus: bus})
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Read the opening comment so the handler is known to be serving.
+	if _, err := resp.Body.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close blocked on a live /events stream")
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err == nil {
+		t.Error("/events stream ended cleanly; want it cut off by Close")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for bus.Subscribers() > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := bus.Subscribers(); n != 0 {
+		t.Errorf("%d bus subscribers after Close, want 0", n)
+	}
+	resp.Body.Close()
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked past Close: %d before, %d after", before, after)
 	}
 }
 
@@ -685,5 +744,41 @@ func TestCacheHitsAreByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A tree whose top is reached along 2^40 paths through shared gates
+// must get a definitive answer inside a one-second budget: no step may
+// walk a shared gate once per path, deadline or not. The handler runs
+// on its own goroutine so a walk that never ends fails the test rather
+// than hanging it.
+func TestSharedGateLadderAnswersInBudget(t *testing.T) {
+	s := New(Config{Workers: 1})
+	body := treeJSON(t, gen.Ladder(40))
+	done := make(chan *httptest.ResponseRecorder, 1)
+	start := time.Now()
+	go func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/analyze?timeoutMillis=1000", bytes.NewReader(body)))
+		done <- rec
+	}()
+	var rec *httptest.ResponseRecorder
+	select {
+	case rec = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer 5s into a 1s budget")
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("answered after %v, past the 1s budget", elapsed)
+	}
+	var doc Document
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+	if rec.Code != 200 || doc.Status != StatusOptimal {
+		t.Fatalf("HTTP %d status %s (%s), want 200 OPTIMAL", rec.Code, doc.Status, doc.Error)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }

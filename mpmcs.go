@@ -109,10 +109,6 @@ type (
 	EventBus = obs.EventBus
 	// Event is the envelope of one live solver event.
 	Event = obs.Event
-	// ObsServer serves /metrics (Prometheus), /events (SSE) and
-	// /debug/pprof over a bus and metrics registry — the endpoint behind
-	// the CLIs' --obs-listen flag.
-	ObsServer = obs.Server
 )
 
 // Gate kinds.
@@ -149,11 +145,6 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 
 // NewEventBus returns an enabled live-telemetry bus for Options.Bus.
 func NewEventBus() *EventBus { return obs.NewEventBus() }
-
-// NewObsServer returns an unstarted telemetry server over the registry
-// and bus (either may be nil); start with Start(addr), stop with
-// Close.
-func NewObsServer(m *Metrics, bus *EventBus) *ObsServer { return obs.NewServer(m, bus) }
 
 // LoadTreeJSON parses and validates a fault tree from its JSON format.
 func LoadTreeJSON(r io.Reader) (*Tree, error) { return ft.ReadJSON(r) }

@@ -6,28 +6,36 @@ package boolexpr
 // once per path, which is exponential in the depth of nested sharing.
 // Memo lets a walk visit each shared gate once.
 
-// gateShape is a gate's kind, threshold and operand count. With its
-// first operand slot it identifies the gate: gates with the same shape
-// over the same operand slice are the same function, so a walk may
-// reuse one's result for the other.
+// gateShape is a gate's kind, threshold and operand count.
 type gateShape struct {
 	op   byte // 'a' And, 'o' Or, 'k' AtLeast
 	k, n int
 }
 
-// gateOf returns e's shape and operands; xs is empty for variables,
+// gateKey identifies a gate by its first operand slot and its shape:
+// gates with the same shape over the same operand slice are the same
+// function, so a walk may reuse one's result for the other. An And and
+// an Or over one slice, as ExpandAtLeast builds, are two keys.
+type gateKey struct {
+	first *Expr
+	shape gateShape
+}
+
+// keyOf returns e's key and operands; xs is empty for variables,
 // negations, constants and gates without operands.
-func gateOf(e Expr) (shape gateShape, xs []Expr) {
+func keyOf(e Expr) (key gateKey, xs []Expr) {
 	switch x := e.(type) {
 	case And:
-		shape, xs = gateShape{op: 'a'}, x.Xs
+		key.shape, xs = gateShape{op: 'a'}, x.Xs
 	case Or:
-		shape, xs = gateShape{op: 'o'}, x.Xs
+		key.shape, xs = gateShape{op: 'o'}, x.Xs
 	case AtLeast:
-		shape, xs = gateShape{op: 'k', k: x.K}, x.Xs
+		key.shape, xs = gateShape{op: 'k', k: x.K}, x.Xs
 	}
-	shape.n = len(xs)
-	return shape, xs
+	if len(xs) > 0 {
+		key.first, key.shape.n = &xs[0], len(xs)
+	}
+	return key, xs
 }
 
 // Memo caches a walk's results for the gates of one expression that
@@ -36,26 +44,21 @@ func gateOf(e Expr) (shape gateShape, xs []Expr) {
 // flattened operand lists) without ever being reused. A nil *Memo,
 // which NewMemo returns for an expression without shared gates,
 // caches nothing.
-//
-// Gates are indexed by their first operand slot alone, which is cheap
-// to hash; a slot that two different gates use is never cached.
 type Memo[T any] struct {
-	index   map[*Expr]int32 // first operand slot → gates index
+	index   map[gateKey]int32 // gate → gates index
 	gates   []gateCount
 	results []T // by gates index, for the shared gates already walked
 }
 
 type gateCount struct {
-	shape    gateShape
-	paths    int
-	conflict bool // a gate of another shape uses the same slot
-	done     bool // results holds the walk's result
+	paths int
+	done  bool // results holds the walk's result
 }
 
 // NewMemo counts the paths into the gates of e, visiting each gate
 // once.
 func NewMemo[T any](e Expr) *Memo[T] {
-	m := &Memo[T]{index: make(map[*Expr]int32)}
+	m := &Memo[T]{index: make(map[gateKey]int32)}
 	anyShared := false
 	var visit func(e Expr)
 	visit = func(e Expr) {
@@ -63,25 +66,17 @@ func NewMemo[T any](e Expr) *Memo[T] {
 			visit(n.X)
 			return
 		}
-		shape, xs := gateOf(e)
+		key, xs := keyOf(e)
 		if len(xs) == 0 {
 			return
 		}
-		i, seen := m.index[&xs[0]]
-		if !seen {
-			i = int32(len(m.gates))
-			m.index[&xs[0]] = i
-			m.gates = append(m.gates, gateCount{shape: shape})
+		if i, seen := m.index[key]; seen {
+			m.gates[i].paths++
+			anyShared = true
+			return
 		}
-		c := &m.gates[i]
-		c.paths++
-		if seen {
-			if c.shape == shape {
-				anyShared = true
-				return
-			}
-			c.conflict = true
-		}
+		m.index[key] = int32(len(m.gates))
+		m.gates = append(m.gates, gateCount{paths: 1})
 		for _, x := range xs {
 			visit(x)
 		}
@@ -99,12 +94,12 @@ func (m *Memo[T]) cached(e Expr) (int32, bool) {
 	if m == nil {
 		return -1, false
 	}
-	_, xs := gateOf(e)
+	key, xs := keyOf(e)
 	if len(xs) == 0 {
 		return -1, false
 	}
-	i, counted := m.index[&xs[0]]
-	if !counted || m.gates[i].paths < 2 || m.gates[i].conflict {
+	i, counted := m.index[key]
+	if !counted || m.gates[i].paths < 2 {
 		return -1, false
 	}
 	return i, true

@@ -41,7 +41,8 @@ func TestWalksOnSharedLadder(t *testing.T) {
 }
 
 // Two different gates over one operand slice (ExpandAtLeast builds such
-// pairs from a shared tail) must not share a cached result.
+// pairs from a shared tail) are cached apart: neither gets the other's
+// result.
 func TestMemoKeepsGatesOnOneSliceApart(t *testing.T) {
 	xs := []Expr{V("a"), V("b")}
 	and, or := And{Xs: xs}, Or{Xs: xs}
@@ -50,8 +51,8 @@ func TestMemoKeepsGatesOnOneSliceApart(t *testing.T) {
 	if m == nil {
 		t.Fatal("no gate counted as reached twice")
 	}
-	if m.Shared(and) || m.Shared(or) {
-		t.Error("a slot that two gates use is cached")
+	if !m.Shared(and) || !m.Shared(or) {
+		t.Error("a gate reached twice is not cached")
 	}
 	want := Or{Xs: []Expr{and, V("a"), V("b"), And{Xs: []Expr{V("a"), V("b"), or}}, and}}
 	if got := Simplify(e); !Equal(got, want) {

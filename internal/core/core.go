@@ -5,7 +5,7 @@
 // The six steps of the resolution method map to this package as
 // follows:
 //
-//	Step 1 (logical transformation)  — Steps.SuccessFormula via ft.Tree.Formulas
+//	Step 1 (logical transformation)  — Steps.SuccessFormula via boolexpr.Dual
 //	Step 2 (CNF conversion)          — Steps.Encoding via cnf.Tseitin
 //	Step 3 (−log weights)            — Steps.Weights via LogWeights
 //	Step 4 (WPMS instance)           — Steps.Instance (hard CNF + unit softs)
@@ -169,11 +169,13 @@ func buildSteps(tree *ft.Tree, opts Options, parent obs.SpanStarter) (*Steps, er
 	}
 
 	sp = parent.StartSpan("formula")
-	f, success, err := tree.Formulas()
-	sp.End()
+	f, err := tree.Formula()
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
+	success := boolexpr.Dual(f)
+	sp.End()
 
 	events := tree.Events()
 	order := make([]string, len(events))

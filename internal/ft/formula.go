@@ -9,71 +9,39 @@ import (
 // Formula compiles the tree into its structure function f(t): a Boolean
 // expression over the basic-event ids that is true exactly when the top
 // event occurs. A gate with several parents is one shared expression
-// value; the walks over the expression (boolexpr.Simplify, the Tseitin
-// encoder in internal/cnf, the BDD compiler) visit it once.
+// value; the walks over the expression (boolexpr.Dual and Simplify, the
+// Tseitin encoder in internal/cnf, the BDD compiler) visit it once.
 func (t *Tree) Formula() (boolexpr.Expr, error) {
-	f, _, err := t.formulas(false)
-	return f, err
-}
-
-// Formulas compiles f(t), as Formula does, and in the same pass the
-// tree's success function X(t) = ¬f(t), i.e. the paper's Step-1
-// Success Tree, in the renamed y-variable form the paper calls Y(t):
-// gates flipped, variables positive, with y_i = ¬x_i. Evaluating the
-// success formula under y equals evaluating ¬f under x = ¬y; it is
-// boolexpr.Dual(f), built without a second walk.
-func (t *Tree) Formulas() (fault, success boolexpr.Expr, err error) {
-	return t.formulas(true)
-}
-
-// formulaPair is a node's fault expression and, when requested, its
-// dual.
-type formulaPair struct{ f, y boolexpr.Expr }
-
-func (t *Tree) formulas(dual bool) (fault, success boolexpr.Expr, err error) {
 	if err := t.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	memo := make(map[string]formulaPair, len(t.gates))
-	p := t.nodeFormula(t.top, dual, memo)
-	return p.f, p.y, nil
+	memo := make(map[string]boolexpr.Expr, len(t.gates))
+	return t.nodeFormula(t.top, memo), nil
 }
 
-func (t *Tree) nodeFormula(id string, dual bool, memo map[string]formulaPair) formulaPair {
+func (t *Tree) nodeFormula(id string, memo map[string]boolexpr.Expr) boolexpr.Expr {
 	if _, ok := t.events[id]; ok {
-		v := boolexpr.V(id)
-		return formulaPair{f: v, y: v}
+		return boolexpr.V(id)
 	}
-	if p, ok := memo[id]; ok {
-		return p
+	if e, ok := memo[id]; ok {
+		return e
 	}
 	g := t.gates[id]
 	xs := make([]boolexpr.Expr, len(g.Inputs))
-	var ys []boolexpr.Expr
-	if dual {
-		ys = make([]boolexpr.Expr, len(g.Inputs))
-	}
 	for i, in := range g.Inputs {
-		p := t.nodeFormula(in, dual, memo)
-		xs[i] = p.f
-		if dual {
-			ys[i] = p.y
-		}
+		xs[i] = t.nodeFormula(in, memo)
 	}
-	var p formulaPair
+	var e boolexpr.Expr
 	switch g.Type {
 	case GateAnd:
-		p = formulaPair{f: boolexpr.And{Xs: xs}, y: boolexpr.Or{Xs: ys}}
+		e = boolexpr.And{Xs: xs}
 	case GateOr:
-		p = formulaPair{f: boolexpr.Or{Xs: xs}, y: boolexpr.And{Xs: ys}}
+		e = boolexpr.Or{Xs: xs}
 	case GateVoting:
-		p = formulaPair{f: boolexpr.AtLeast{K: g.K, Xs: xs}, y: boolexpr.AtLeast{K: len(xs) - g.K + 1, Xs: ys}}
+		e = boolexpr.AtLeast{K: g.K, Xs: xs}
 	default:
 		panic(fmt.Sprintf("ft: gate %q has invalid type %d", id, int(g.Type)))
 	}
-	if !dual {
-		p.y = nil
-	}
-	memo[id] = p
-	return p
+	memo[id] = e
+	return e
 }
